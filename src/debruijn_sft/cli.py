@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .counting import count_converging_spanning_trees, count_eulerian_cycles
+from .counting import count_eulerian_cycles, out_degree_factorials
 from .errors import DeBruijnError
 from .graph import DeBruijnGraph, build_graph, export_dot, graph_to_json
 from .language import Language, enumerate_words, parse_language_text
@@ -119,11 +119,11 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _graph(args)
-    if args.json:
-        _print_json(analysis_to_json(g))
-        return 0
     decision = decide_minimal_is_eulerian(g)
-    t = analyze_max_arcs(g)
+    if args.json:
+        _print_json(analysis_to_json(decision))
+        return 0
+    t = decision.analysis
     alpha = g.alphabet
     print(f"vertices {len(g.vertices)}")
     print(f"arcs {len(g.arcs)}")
@@ -142,9 +142,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     g = _graph(args)
-    trees = count_converging_spanning_trees(g, g.max_vertex)
     cycles = count_eulerian_cycles(g, g.max_vertex)
     if args.json:
+        # Each converging spanning tree yields out_degree_factorials circuits.
+        trees = cycles // out_degree_factorials(g)
         _print_json({
             "root": g.alphabet.text(g.max_vertex),
             "spanningTrees": str(trees),
@@ -182,7 +183,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _graph(args)
-    t = analyze_max_arcs(g)
+    decision = decide_minimal_is_eulerian(g)
+    t = decision.analysis
     reports = [
         verify_exhaustion_order(g, t.avoid_set()),
         verify_label_monotonicity(t),
@@ -192,7 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     for cyc in t.cycles:
         reports.append(check_cycle_label_blocks(t, cyc))
-    reports.append(verify_greedy_decision(g))
+    reports.append(verify_greedy_decision(decision))
     failed = False
     for r in reports:
         if r.ok:

@@ -15,6 +15,7 @@ from .errors import NotEulerianError
 from .graph import DeBruijnGraph
 from .language import Word
 from .scc import strongly_connected_components
+from .walks import check_balanced
 
 
 def integer_determinant(matrix: list[list[int]]) -> int:
@@ -72,32 +73,30 @@ def _is_one_component(g: DeBruijnGraph) -> bool:
     return len(comps) == 1
 
 
+def out_degree_factorials(g: DeBruijnGraph) -> int:
+    """Product over vertices of (out-degree - 1)!: the circuits per
+    converging spanning tree."""
+    product = 1
+    for v in g.vertices:
+        product *= factorial(len(g.out_arcs(v)) - 1)
+    return product
+
+
 def count_eulerian_cycles(g: DeBruijnGraph, root: Word) -> int:
     """Exact number of Eulerian circuits through a fixed starting arc at
     the root (the count is the same whichever out-arc of the root is
     fixed, and the root itself only matters up to that convention)."""
-    indeg: dict[Word, int] = {v: 0 for v in g.vertices}
-    for a in g.arcs:
-        indeg[a.head] += 1
-    for v in g.vertices:
-        if indeg[v] != len(g.out_arcs(v)):
-            raise NotEulerianError(f"vertex {v} is unbalanced")
+    check_balanced(g)
     if not _is_one_component(g):
         raise NotEulerianError("graph is not strongly connected")
-    product = 1
-    for v in g.vertices:
-        product *= factorial(len(g.out_arcs(v)) - 1)
-    return count_converging_spanning_trees(g, root) * product
+    return count_converging_spanning_trees(g, root) * out_degree_factorials(g)
 
 
 def lower_bound_report(g: DeBruijnGraph) -> dict:
     """Ingredients of the crude circuit-count lower bound, next to the
     exact values, for side-by-side reading."""
-    degrees = [len(g.out_arcs(v)) for v in g.vertices]
     mean_out = len(g.arcs) / len(g.vertices)
-    factorial_term = 1
-    for d in degrees:
-        factorial_term *= factorial(d - 1)
+    factorial_term = out_degree_factorials(g)
     base = factorial(max(int(mean_out) - 1, 0))
     trees = count_converging_spanning_trees(g, g.max_vertex)
     report = {

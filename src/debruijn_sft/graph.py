@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import AmbiguousComponentError, EmptyGraphError
 from .language import Language, Alphabet, Word, enumerate_words, is_circular_word
-from .scc import strongly_connected_components
+from .scc import largest_components
 
 
 @dataclass(frozen=True)
@@ -96,21 +96,9 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     if not words:
         raise EmptyGraphError(f"no words of length {n + 1}")
     raw = [Arc(w[:n], w[n], w[1:]) for w in words]
-    succ: dict[Word, list[Word]] = {}
-    verts: set[Word] = set()
-    for a in raw:
-        verts.update((a.tail, a.head))
-        succ.setdefault(a.tail, []).append(a.head)
-    comps = strongly_connected_components(sorted(verts), lambda v: succ.get(v, ()))
-    comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
-    arc_count = [0] * len(comps)
-    for a in raw:
-        if comp_id[a.tail] == comp_id[a.head]:
-            arc_count[comp_id[a.tail]] += 1
-    best = max(arc_count)
-    if best == 0:
+    comp_id, winners, best = largest_components([(a.tail, a.head) for a in raw])
+    if not winners:
         raise EmptyGraphError("every arc crosses between components")
-    winners = [i for i, c in enumerate(arc_count) if c == best]
     if len(winners) > 1:
         raise AmbiguousComponentError(
             f"{len(winners)} strongly connected components tie at {best} arcs"

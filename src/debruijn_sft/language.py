@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotIrreducibleError
-from .scc import strongly_connected_components
+from .scc import largest_components
 
 Word = tuple[int, ...]
 
@@ -177,19 +177,7 @@ def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     if not words:
         return IrreducibilityReport(False, f"no words of length {n + 1}", ())
     arcs = [(w[:n], w[1:]) for w in words]
-    succ: dict[Word, list[Word]] = {}
-    verts: set[Word] = set()
-    for tail, head in arcs:
-        verts.update((tail, head))
-        succ.setdefault(tail, []).append(head)
-    comps = strongly_connected_components(sorted(verts), lambda v: succ.get(v, ()))
-    comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
-    arc_count = [0] * len(comps)
-    for tail, head in arcs:
-        if comp_id[tail] == comp_id[head]:
-            arc_count[comp_id[tail]] += 1
-    best = max(arc_count)
-    winners = [i for i, c in enumerate(arc_count) if c == best and c > 0]
+    comp_id, winners, best = largest_components(arcs)
     if not winners:
         return IrreducibilityReport(False, "no component contains an arc", tuple(words))
     chosen = winners[0]

@@ -48,28 +48,29 @@ def enumerate_eulerian_cycles(
     used: set = set()
     path: list = []
     found: list[Walk] = []
-
-    def extend(cur: Word) -> bool:
-        if len(path) == total:
-            if cur == start:
-                found.append(Walk(start, tuple(path)))
-                if cap is not None and len(found) >= cap:
-                    return False
-            return True
-        for arc in g.out_arcs(cur):
-            if arc in used:
-                continue
-            used.add(arc)
-            path.append(arc)
-            keep_going = extend(arc.head)
-            path.pop()
-            used.discard(arc)
-            if not keep_going:
-                return False
-        return True
-
-    completed = extend(start)
-    return EnumerationResult(tuple(found), truncated=not completed)
+    # One iterator over the out-arcs of the current vertex per depth, so
+    # circuits of any length need no recursion.
+    frames = [iter(g.out_arcs(start))]
+    while frames:
+        for arc in frames[-1]:
+            if arc not in used:
+                break
+        else:
+            frames.pop()
+            if path:
+                used.discard(path.pop())
+            continue
+        used.add(arc)
+        path.append(arc)
+        if len(path) < total:
+            frames.append(iter(g.out_arcs(arc.head)))
+            continue
+        if arc.head == start:
+            found.append(Walk(start, tuple(path)))
+            if cap is not None and len(found) >= cap:
+                return EnumerationResult(tuple(found), truncated=True)
+        used.discard(path.pop())
+    return EnumerationResult(tuple(found), truncated=False)
 
 
 def minimal_eulerian_label(
@@ -77,35 +78,12 @@ def minimal_eulerian_label(
 ) -> Word:
     """Lexicographically smallest Eulerian-circuit label from `start`.
 
-    Depth-first search extending by the smallest label first: since all
-    circuits have the same length, the first one completed is minimal.
+    Circuits are enumerated in label order, so the first one is minimal.
     """
-    _guard(g, max_arcs)
-    if start not in g.out:
-        raise ValueError(f"vertex {start} is not in the graph")
-    total = len(g.arcs)
-    used: set = set()
-    path: list = []
-
-    def extend(cur: Word) -> Walk | None:
-        if len(path) == total:
-            return Walk(start, tuple(path)) if cur == start else None
-        for arc in g.out_arcs(cur):
-            if arc in used:
-                continue
-            used.add(arc)
-            path.append(arc)
-            hit = extend(arc.head)
-            path.pop()
-            used.discard(arc)
-            if hit is not None:
-                return hit
-        return None
-
-    walk = extend(start)
-    if walk is None:
+    walks = enumerate_eulerian_cycles(g, start, cap=1, max_arcs=max_arcs).walks
+    if not walks:
         raise NotEulerianError(f"no Eulerian circuit from {start}")
-    return walk.label
+    return walks[0].label
 
 
 @dataclass(frozen=True)

@@ -61,3 +61,26 @@ def strongly_connected_components(
                         break
                 components.append(comp)
     return components
+
+
+def largest_components(arcs: Sequence[tuple[V, V]]) -> tuple[dict[V, int], list[int], int]:
+    """Group the arcs (tail, head) by strongly connected component.
+
+    Returns the component index of every vertex, the indices of the
+    components holding the most internal arcs (empty when no arc is
+    internal), and that arc count.
+    """
+    succ: dict[V, list[V]] = {}
+    verts: set[V] = set()
+    for tail, head in arcs:
+        verts.update((tail, head))
+        succ.setdefault(tail, []).append(head)
+    comps = strongly_connected_components(sorted(verts), lambda v: succ.get(v, ()))
+    comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
+    arc_count = [0] * len(comps)
+    for tail, head in arcs:
+        if comp_id[tail] == comp_id[head]:
+            arc_count[comp_id[tail]] += 1
+    best = max(arc_count)
+    winners = [i for i, c in enumerate(arc_count) if c == best and c > 0]
+    return comp_id, winners, best

@@ -21,7 +21,8 @@ Per-vertex data, with m the maximal vertex:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import TheoremViolationError
 from .graph import Arc, DeBruijnGraph
@@ -78,6 +79,7 @@ class Decision:
     via_obstructions: bool
     cycles: tuple[tuple[Word, ...], ...]
     obstructions: tuple[Obstruction, ...]
+    analysis: MaxArcAnalysis = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,28 @@ def _longest_overlap(u: Word, m: Word) -> Word:
     return ()
 
 
+def _functional_cycles(
+    vertices: tuple[Word, ...], exit_arc: Mapping[Word, Arc]
+) -> list[list[Word]]:
+    """Cycles of the functional graph v -> exit_arc[v].head, each in walk
+    order; vertices without an exit arc end their paths."""
+    done: set[Word] = set()
+    cycles: list[list[Word]] = []
+    for v in vertices:
+        path: list[Word] = []
+        pos: dict[Word, int] = {}
+        cur: Word | None = v
+        while cur is not None and cur not in done and cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            arc = exit_arc.get(cur)
+            cur = None if arc is None else arc.head
+        if cur is not None and cur in pos:
+            cycles.append(path[pos[cur] :])
+        done.update(path)
+    return cycles
+
+
 def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
     root = g.max_vertex
     max_arc: dict[Word, Arc] = {}
@@ -120,27 +144,11 @@ def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
     floor = frozenset(v for v, ov in overlap.items() if not ov)
     restricted = frozenset(v for v in max_arc if max_label[v] < overlap_next[v])
 
-    # Cycle scan of the functional subgraph (root has no exit, so paths
-    # either reach the root or wind into a cycle).
-    color: dict[Word, int] = {}   # 1 in progress, 2 done
-    cycles: list[tuple[Word, ...]] = []
-    for v in g.vertices:
-        if color.get(v) == 2 or v == root:
-            continue
-        path: list[Word] = []
-        pos: dict[Word, int] = {}
-        cur: Word | None = v
-        while cur is not None and color.get(cur) is None and cur != root:
-            color[cur] = 1
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = max_arc[cur].head
-        if cur is not None and color.get(cur) == 1 and cur in pos:
-            cyc = path[pos[cur] :]
-            k = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[k:] + cyc[:k]))
-        for w in path:
-            color[w] = 2
+    # The root has no exit, so paths either reach it or wind into a cycle.
+    cycles = []
+    for cyc in _functional_cycles(g.vertices, max_arc):
+        k = cyc.index(min(cyc))
+        cycles.append(tuple(cyc[k:] + cyc[:k]))
     cycles.sort()
     return MaxArcAnalysis(
         graph=g,
@@ -334,48 +342,47 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
     exhausted."""
     walk = walk_avoiding(g, avoid)
     order = exhaustion_order(walk, g)
+    reserved = avoid.arc_by_vertex
+    on_cycle = {v for cyc in _functional_cycles(g.vertices, reserved) for v in cyc}
 
-    on_cycle: set[Word] = set()
-    state: dict[Word, int] = {}
+    # Off the cycles the reserved arcs form a forest: a vertex's parent is
+    # the head of its reserved arc, and the roots are the vertices whose
+    # path leaves the forest next (at a cycle or at the avoid-set root).
+    feeders: dict[Word, list[Word]] = {}
+    roots: list[Word] = []
     for v in g.vertices:
-        if v in state:
+        if v in on_cycle:
             continue
-        path: list[Word] = []
-        pos: dict[Word, int] = {}
-        cur: Word | None = v
-        while cur is not None and cur not in state and cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            arc = avoid.arc_by_vertex.get(cur)
-            cur = None if arc is None else arc.head
-        if cur is not None and cur in pos:
-            on_cycle.update(path[pos[cur] :])
-        for w in path:
-            state[w] = 2
+        arc = reserved.get(v)
+        if arc is None or arc.head in on_cycle:
+            roots.append(v)
+        else:
+            feeders.setdefault(arc.head, []).append(v)
+    # In a preorder of the reversed forest, the vertices that drain into v
+    # are the size[v] - 1 entries right after v.
+    preorder: list[Word] = []
+    stack = roots
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        stack.extend(feeders.get(v, ()))
+    first = {v: i for i, v in enumerate(preorder)}
+    size: dict[Word, int] = {}
+    for v in reversed(preorder):
+        size[v] = 1 + sum(size[u] for u in feeders.get(v, ()))
 
     checks = 0
     violations = []
     for v in g.vertices:
         if v in on_cycle or v not in order:
             continue
-        # Subtree draining into v: vertices whose reserved-arc path hits v.
-        for u in g.vertices:
-            if u == v:
-                continue
-            cur2: Word | None = u
-            hops = 0
-            while cur2 is not None and cur2 != v and hops <= len(g.vertices):
-                arc = avoid.arc_by_vertex.get(cur2)
-                cur2 = None if arc is None else arc.head
-                hops += 1
-            if cur2 != v:
-                continue
-            checks += 1
-            if u not in order or order[u] > order[v]:
-                violations.append(
-                    f"{v} exhausted at {order[v]} but upstream {u} at "
-                    f"{order.get(u)}"
-                )
+        upstream = preorder[first[v] + 1 : first[v] + size[v]]
+        checks += len(upstream)
+        for u in sorted(u for u in upstream if u not in order or order[u] > order[v]):
+            violations.append(
+                f"{v} exhausted at {order[v]} but upstream {u} at "
+                f"{order.get(u)}"
+            )
     return VerificationReport("exhaustion-order", checks, tuple(violations))
 
 
@@ -469,25 +476,23 @@ def decide_minimal_is_eulerian(g: DeBruijnGraph) -> Decision:
         via_obstructions=via_obstructions,
         cycles=t.cycles,
         obstructions=obstructions,
+        analysis=t,
     )
 
 
-def verify_greedy_decision(g: DeBruijnGraph) -> VerificationReport:
+def verify_greedy_decision(decision: Decision) -> VerificationReport:
     """Three-way agreement: subgraph cycles, obstruction words, and the
     greedy walk itself, plus the cross-identifications between cycles and
     obstruction words."""
+    t = decision.analysis
+    g = t.graph
     checks = 1
     violations = []
-    try:
-        decision = decide_minimal_is_eulerian(g)
-    except TheoremViolationError as exc:
-        return VerificationReport("greedy-decision", 1, (str(exc),))
     walk = minimal_walk(g)
     if walk.is_eulerian(g) != decision.answer:
         violations.append(
             f"decision {decision.answer} but greedy walk eulerian={walk.is_eulerian(g)}"
         )
-    t = analyze_max_arcs(g)
     obstruction_words = {o.word for o in decision.obstructions}
     for cyc in t.cycles:
         reps = (g.span + 1) // len(cyc) if (g.span + 1) % len(cyc) == 0 else None
@@ -509,11 +514,11 @@ def verify_greedy_decision(g: DeBruijnGraph) -> VerificationReport:
     return VerificationReport("greedy-decision", checks, tuple(violations))
 
 
-def analysis_to_json(g: DeBruijnGraph) -> dict:
+def analysis_to_json(decision: Decision) -> dict:
     """Full analysis record: per-vertex table, cycles, obstructions and the
     decision with both criteria."""
-    t = analyze_max_arcs(g)
-    decision = decide_minimal_is_eulerian(g)
+    t = decision.analysis
+    g = t.graph
     alpha = g.alphabet
     return {
         "root": alpha.text(t.root),

@@ -64,7 +64,8 @@ def walk_to_json(walk: Walk, g: DeBruijnGraph) -> dict:
     }
 
 
-def _check_balanced(g: DeBruijnGraph) -> None:
+def check_balanced(g: DeBruijnGraph) -> None:
+    """Raise NotEulerianError at the first vertex whose in- and out-degree differ."""
     indeg: dict[Word, int] = {v: 0 for v in g.vertices}
     for a in g.arcs:
         indeg[a.head] += 1
@@ -84,7 +85,7 @@ def eulerian_cycle(g: DeBruijnGraph, start: Word) -> Walk:
     """
     if start not in g.out:
         raise ValueError(f"vertex {start} is not in the graph")
-    _check_balanced(g)
+    check_balanced(g)
     used: set[Arc] = set()
 
     def grow(v: Word) -> list[Arc]:

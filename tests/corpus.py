@@ -11,11 +11,15 @@ import itertools
 import random
 
 from debruijn_sft import (
+    AvoidSet,
     DeBruijnGraph,
     Language,
+    VerificationReport,
     Word,
     build_graph,
     check_irreducible,
+    exhaustion_order,
+    walk_avoiding,
 )
 
 # Instances where the span-level irreducibility check passes; safe for
@@ -140,3 +144,52 @@ def oracle_converging_trees(g: DeBruijnGraph, root: Word) -> int:
 def cyclic_windows(label: Word, width: int) -> list[Word]:
     doubled = label + label
     return sorted(doubled[i : i + width] for i in range(len(label)))
+
+
+def oracle_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationReport:
+    """Quadratic reference for verify_exhaustion_order: finds the vertices
+    draining into each v by walking the reserved arcs from every vertex."""
+    walk = walk_avoiding(g, avoid)
+    order = exhaustion_order(walk, g)
+
+    on_cycle: set[Word] = set()
+    state: dict[Word, int] = {}
+    for v in g.vertices:
+        if v in state:
+            continue
+        path: list[Word] = []
+        pos: dict[Word, int] = {}
+        cur: Word | None = v
+        while cur is not None and cur not in state and cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            arc = avoid.arc_by_vertex.get(cur)
+            cur = None if arc is None else arc.head
+        if cur is not None and cur in pos:
+            on_cycle.update(path[pos[cur] :])
+        for w in path:
+            state[w] = 2
+
+    checks = 0
+    violations = []
+    for v in g.vertices:
+        if v in on_cycle or v not in order:
+            continue
+        for u in g.vertices:
+            if u == v:
+                continue
+            cur2: Word | None = u
+            hops = 0
+            while cur2 is not None and cur2 != v and hops <= len(g.vertices):
+                arc = avoid.arc_by_vertex.get(cur2)
+                cur2 = None if arc is None else arc.head
+                hops += 1
+            if cur2 != v:
+                continue
+            checks += 1
+            if u not in order or order[u] > order[v]:
+                violations.append(
+                    f"{v} exhausted at {order[v]} but upstream {u} at "
+                    f"{order.get(u)}"
+                )
+    return VerificationReport("exhaustion-order", checks, tuple(violations))

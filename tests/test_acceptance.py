@@ -9,7 +9,6 @@ import time
 from debruijn_sft import (
     Arc,
     Language,
-    analyze_max_arcs,
     build_graph,
     certify_minimal_walk,
     count_eulerian_cycles,
@@ -159,14 +158,15 @@ def test_criterion_6_lemma_suite_zero_violations():
     bad = []
     for spec in ALL_INSTANCES + random_instances(20):
         g = graph_of(spec)
-        t = analyze_max_arcs(g)
+        decision = decide_minimal_is_eulerian(g)
+        t = decision.analysis
         reports = [
             verify_exhaustion_order(g, t.avoid_set()),
             verify_label_monotonicity(t),
             verify_cycle_structure(t),
             verify_overlap_bounds(t),
             verify_floor_paths(t),
-            verify_greedy_decision(g),
+            verify_greedy_decision(decision),
         ]
         reports.extend(check_cycle_label_blocks(t, c) for c in t.cycles)
         checked += sum(r.checks for r in reports)

@@ -1,5 +1,9 @@
 import json
+import sys
 
+import pytest
+
+from debruijn_sft import counting, structure
 from debruijn_sft.cli import main
 
 from corpus import cyclic_windows
@@ -182,3 +186,47 @@ def test_byte_identical_reruns(capsys):
         _, out, _ = run(capsys, "verify", "--alphabet", "012", "--forbid", "002", "--span", "3")
         outputs.append(out)
     assert outputs[2] == outputs[3]
+
+
+def test_oracle_long_circuit_needs_no_recursion(capsys):
+    # 2048 arcs: one stack frame per arc would pass the recursion limit.
+    code, out, _ = run(capsys, "oracle", "--alphabet", "01", "--span", "10",
+                       "--max-arcs", "5000")
+    assert code == 0
+    fields = dict(line.split(" ", 1) for line in out.splitlines())
+    assert fields["pass"] == "true"
+    assert fields["oracle-label"] == fields["greedy-label"]
+
+
+def count_calls(monkeypatch, functions):
+    """Wrap each function at every package module binding that holds it;
+    the returned dict counts calls by function name."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("debruijn_sft.")]
+    calls = dict.fromkeys((f.__name__ for f in functions), 0)
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+ANALYSES = (structure.analyze_max_arcs, structure.enumerate_obstructions)
+GOLDEN5 = ("--alphabet", "01", "--forbid", "11", "--span", "5")
+
+
+@pytest.mark.parametrize("argv, functions", [
+    (("check",), ANALYSES),
+    (("check", "--json"), ANALYSES),
+    (("verify",), ANALYSES),
+    (("oracle",), ANALYSES),
+    (("count",), (counting.integer_determinant,)),
+    (("count", "--json"), (counting.integer_determinant,)),
+], ids=["check", "check-json", "verify", "oracle", "count", "count-json"])
+def test_each_analysis_runs_once_per_job(monkeypatch, capsys, argv, functions):
+    calls = count_calls(monkeypatch, functions)
+    code, _, _ = run(capsys, argv[0], *GOLDEN5, *argv[1:])
+    assert code == 0
+    assert calls == dict.fromkeys(calls, 1)

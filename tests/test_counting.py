@@ -95,7 +95,7 @@ def test_eulerian_count_not_eulerian():
         Arc((1,), 2, (2,)),
         Arc((2,), 0, (0,)),
     ])
-    with pytest.raises(NotEulerianError):
+    with pytest.raises(NotEulerianError, match="in-degree"):
         count_eulerian_cycles(g, (0,))
 
 

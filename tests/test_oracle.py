@@ -3,6 +3,7 @@ import pytest
 from debruijn_sft import (
     Arc,
     Language,
+    NotEulerianError,
     TooLargeError,
     build_graph,
     certify_minimal_walk,
@@ -67,6 +68,12 @@ def test_minimal_label_full_binary_span3():
 def test_minimal_label_self_loops():
     g = graph_from_arcs(1, BINARY, [Arc((0,), 0, (0,)), Arc((0,), 1, (0,))])
     assert minimal_eulerian_label(g, (0,)) == (0, 1)
+
+
+def test_minimal_label_without_circuit_raises():
+    g = graph_from_arcs(1, BINARY, [Arc((0,), 1, (1,)), Arc((1,), 1, (1,))])
+    with pytest.raises(NotEulerianError):
+        minimal_eulerian_label(g, (0,))
 
 
 def test_minimal_label_lower_bounds_enumeration():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from debruijn_sft import (
+    AvoidSet,
     Language,
     analysis_to_json,
     analyze_max_arcs,
@@ -9,6 +12,7 @@ from debruijn_sft import (
     classify_vertex,
     decide_minimal_is_eulerian,
     enumerate_obstructions,
+    exhaustion_order,
     minimal_walk,
     verify_cycle_structure,
     verify_exhaustion_order,
@@ -17,8 +21,10 @@ from debruijn_sft import (
     verify_label_monotonicity,
     verify_overlap_bounds,
 )
+from debruijn_sft import structure
 
-from corpus import ALL_INSTANCES, graph_of, random_instances
+import corpus
+from corpus import ALL_INSTANCES, graph_of, oracle_exhaustion_order, random_instances
 
 GOLDEN5 = ("01", ("11",), 5)
 BLOCKED4 = ("01", ("01111",), 4)
@@ -99,14 +105,15 @@ def test_tree_arc_count_invariant():
 
 
 def all_reports(g):
-    t = analyze_max_arcs(g)
+    decision = decide_minimal_is_eulerian(g)
+    t = decision.analysis
     reports = [
         verify_exhaustion_order(g, t.avoid_set()),
         verify_label_monotonicity(t),
         verify_cycle_structure(t),
         verify_overlap_bounds(t),
         verify_floor_paths(t),
-        verify_greedy_decision(g),
+        verify_greedy_decision(decision),
     ]
     reports.extend(check_cycle_label_blocks(t, c) for c in t.cycles)
     return reports
@@ -122,6 +129,48 @@ def test_verifiers_zero_violations_on_random_corpus():
     for spec in random_instances(20):
         for report in all_reports(graph_of(spec)):
             assert report.ok, (spec, report)
+
+
+def avoid_sets(g, rng):
+    """The max-arc avoid set, plus random ones with random roots on graphs
+    small enough for the quadratic reference."""
+    sets = [analyze_max_arcs(g).avoid_set()]
+    if len(g.vertices) <= 80:
+        for _ in range(7):
+            root = rng.choice(g.vertices)
+            reserved = {v: rng.choice(g.out_arcs(v)) for v in g.vertices if v != root}
+            sets.append(AvoidSet(root=root, arc_by_vertex=reserved))
+    return sets
+
+
+def test_exhaustion_order_matches_reference():
+    rng = random.Random(7)
+    for spec in ALL_INSTANCES + random_instances(40):
+        g = graph_of(spec)
+        for avoid in avoid_sets(g, rng):
+            assert verify_exhaustion_order(g, avoid) == oracle_exhaustion_order(g, avoid), spec
+
+
+def test_exhaustion_order_violations_match_reference(monkeypatch):
+    # Shuffled exhaustion times break the ordering fact, so both verifiers
+    # must report the same violations in the same order.
+    def shuffled(walk, g):
+        order = exhaustion_order(walk, g)
+        times = list(order.values())
+        random.Random(len(walk.steps)).shuffle(times)
+        return dict(zip(order, times))
+
+    monkeypatch.setattr(structure, "exhaustion_order", shuffled)
+    monkeypatch.setattr(corpus, "exhaustion_order", shuffled)
+    rng = random.Random(11)
+    flagged = 0
+    for spec in ALL_INSTANCES:
+        g = graph_of(spec)
+        for avoid in avoid_sets(g, rng):
+            report = verify_exhaustion_order(g, avoid)
+            assert report == oracle_exhaustion_order(g, avoid), spec
+            flagged += not report.ok
+    assert flagged
 
 
 def test_floor_path_verifier_handles_restricted_floor_start():
@@ -206,8 +255,7 @@ def test_main_theorem_three_ways_on_everything():
 
 
 def test_analysis_json_shape():
-    g = graph_of(GOLDEN5)
-    data = analysis_to_json(g)
+    data = analysis_to_json(decide_minimal_is_eulerian(graph_of(GOLDEN5)))
     assert data["root"] == "10101"
     assert len(data["vertices"]) == 12  # root reported separately
     assert data["decision"] == {
