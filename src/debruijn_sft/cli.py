@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain error (or failed verification/certification),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -205,7 +206,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="debruijn-sft",
         description="De Bruijn graphs and sequences for languages with forbidden substrings",

@@ -14,7 +14,6 @@ from math import factorial
 from .errors import NotEulerianError
 from .graph import DeBruijnGraph
 from .language import Word
-from .scc import strongly_connected_components
 from .walks import check_balanced
 
 
@@ -68,11 +67,6 @@ def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
     return integer_determinant(lap)
 
 
-def _is_one_component(g: DeBruijnGraph) -> bool:
-    comps = strongly_connected_components(list(g.vertices), lambda v: [a.head for a in g.out_arcs(v)])
-    return len(comps) == 1
-
-
 def out_degree_factorials(g: DeBruijnGraph) -> int:
     """Product over vertices of (out-degree - 1)!: the circuits per
     converging spanning tree."""
@@ -87,9 +81,12 @@ def count_eulerian_cycles(g: DeBruijnGraph, root: Word) -> int:
     the root (the count is the same whichever out-arc of the root is
     fixed, and the root itself only matters up to that convention)."""
     check_balanced(g)
-    if not _is_one_component(g):
+    # On a balanced graph some spanning tree converges to the root exactly
+    # when the graph is strongly connected.
+    trees = count_converging_spanning_trees(g, root)
+    if trees == 0:
         raise NotEulerianError("graph is not strongly connected")
-    return count_converging_spanning_trees(g, root) * out_degree_factorials(g)
+    return trees * out_degree_factorials(g)
 
 
 def lower_bound_report(g: DeBruijnGraph) -> dict:

@@ -119,21 +119,20 @@ def enumerate_words(lang: Language, n: int) -> list[Word]:
     if n < 1:
         raise ValueError("word length must be >= 1")
     forbidden = sorted(lang.forbidden, key=len)
+    letters = range(lang.alphabet.size - 1, -1, -1)
     out: list[Word] = []
-
-    def extend(prefix: Word) -> None:
+    # Explicit stack, letters pushed in reverse so words pop in order.
+    stack: list[Word] = [(s,) for s in letters]
+    while stack:
+        prefix = stack.pop()
         for f in forbidden:
             if len(f) <= len(prefix) and prefix[-len(f) :] == f:
-                return
-        if len(prefix) == n:
-            if is_circular_word(lang, prefix):
+                break
+        else:
+            if len(prefix) < n:
+                stack.extend([prefix + (s,) for s in letters])
+            elif is_circular_word(lang, prefix):
                 out.append(prefix)
-            return
-        for s in range(lang.alphabet.size):
-            extend(prefix + (s,))
-
-    for s in range(lang.alphabet.size):
-        extend((s,))
     return out
 
 

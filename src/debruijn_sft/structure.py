@@ -389,64 +389,56 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
 # ---------------------------------------------------------------------------
 # Independent criterion: obstruction words.
 
-def _split_blocks(
-    w: Word, m: Word, words: frozenset[Word], size: int
-) -> tuple[tuple[Word, int], ...] | None:
-    """First block decomposition of w (in shortest-first order) passing all
-    three conditions, or None."""
+def _split_blocks(w: Word, g: DeBruijnGraph) -> tuple[tuple[Word, int], ...] | None:
+    """The block decomposition of w, or None when w has none or a block's
+    letter can be raised without leaving the language.
+
+    A block is a proper prefix of the maximal vertex m followed by a letter
+    below m's next letter, so from each position the only candidate block
+    ends at the first letter where w departs from m: the decomposition is
+    a parse.
+    """
+    m = g.max_vertex
     n = len(m)
-
-    def conditions_3(blocks: list[tuple[Word, int]]) -> bool:
-        flat = [h + (b,) for h, b in blocks]
-        for i, (_, b) in enumerate(blocks):
-            rotated: Word = ()
-            for chunk in flat[i + 1 :] + flat[: i + 1]:
-                rotated += chunk
-            for b2 in range(b + 1, size):
-                if rotated[:-1] + (b2,) in words:
-                    return False
-        return True
-
-    def rec(rest: Word, acc: list[tuple[Word, int]]):
-        if not rest:
-            return list(acc) if conditions_3(acc) else None
-        for length in range(1, min(n, len(rest)) + 1):
-            h, b = rest[: length - 1], rest[length - 1]
-            if h != m[: length - 1]:
-                continue
-            if b >= m[length - 1]:
-                continue
-            acc.append((h, b))
-            found = rec(rest[length:], acc)
-            acc.pop()
-            if found is not None:
-                return found
-        return None
-
-    found = rec(w, [])
-    return None if found is None else tuple(found)
+    blocks: list[tuple[Word, int]] = []
+    i = 0
+    while i < len(w):
+        k = 0
+        while k < n and i + k < len(w) and w[i + k] == m[k]:
+            k += 1
+        p = i + k
+        if k == n or p == len(w) or w[p] > m[k]:
+            return None
+        # The rotation of w ending at this block's letter spells an arc out
+        # of `rest`; a larger letter is in the language exactly when `rest`
+        # has an out-arc with a larger label.
+        rest = w[p + 1 :] + w[:p]
+        arcs = g.out_arcs(rest)
+        if arcs and arcs[-1].label > w[p]:
+            return None
+        blocks.append((w[i:p], w[p]))
+        i = p + 1
+    return tuple(blocks)
 
 
 def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
     """All arc words admitting an obstruction decomposition on some
     rotation, with one witness each.
 
-    Brute force over rotations and block boundaries, independent of the
-    max-arc subgraph; results are memoized per rotation class since the
-    search space of a word depends only on its rotations.
+    Parses each rotation into blocks, independent of the max-arc subgraph;
+    results are memoized per rotation class since the outcome for a word
+    depends only on its rotations.
     """
-    m = g.max_vertex
-    words = frozenset(a.tail + (a.label,) for a in g.arcs)
-    size = g.alphabet.size
     cache: dict[Word, tuple[Word, tuple[tuple[Word, int], ...]] | None] = {}
     out: list[Obstruction] = []
-    for w in sorted(words):
+    for a in g.arcs:   # sorted by (tail, label), so words come out in order
+        w = a.tail + (a.label,)
         rots = [w[r:] + w[:r] for r in range(len(w))]
         key = min(rots)
         if key not in cache:
             hit = None
             for cand in sorted(set(rots)):
-                blocks = _split_blocks(cand, m, words, size)
+                blocks = _split_blocks(cand, g)
                 if blocks is not None:
                     hit = (cand, blocks)
                     break

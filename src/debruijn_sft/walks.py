@@ -4,7 +4,7 @@ the greedy minimal walk, and exhaustion bookkeeping."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import NotEulerianError
 from .graph import Arc, DeBruijnGraph
@@ -76,6 +76,29 @@ def check_balanced(g: DeBruijnGraph) -> None:
             )
 
 
+def _spend(
+    order: Mapping[Word, Sequence[Arc]], spent: dict[Word, int], start: Word
+) -> list[Arc]:
+    """Greedy walk from `start` that leaves each vertex v by the next arc of
+    order[v] not yet spent, and stops at a vertex with none left.
+
+    A greedy walk only ever takes the first unspent arc in its order, so the
+    arcs spent at v are always a prefix of order[v] and `spent` keeps just
+    that prefix length. It is updated in place and can carry across calls.
+    """
+    steps: list[Arc] = []
+    cur = start
+    while True:
+        arcs = order[cur]
+        k = spent.get(cur, 0)
+        if k == len(arcs):
+            return steps
+        spent[cur] = k + 1
+        arc = arcs[k]
+        steps.append(arc)
+        cur = arc.head
+
+
 def eulerian_cycle(g: DeBruijnGraph, start: Word) -> Walk:
     """One Eulerian circuit from `start`, by cycle splicing.
 
@@ -86,27 +109,13 @@ def eulerian_cycle(g: DeBruijnGraph, start: Word) -> Walk:
     if start not in g.out:
         raise ValueError(f"vertex {start} is not in the graph")
     check_balanced(g)
-    used: set[Arc] = set()
-
-    def grow(v: Word) -> list[Arc]:
-        # On a balanced graph this returns to v, exhausting its out-arcs.
-        path: list[Arc] = []
-        cur = v
-        while True:
-            arc = next((a for a in g.out_arcs(cur) if a not in used), None)
-            if arc is None:
-                return path
-            used.add(arc)
-            path.append(arc)
-            cur = arc.head
-
-    tour = grow(start)
+    # On a balanced graph each subcycle returns to where it started.
+    spent: dict[Word, int] = {}
+    tour = _spend(g.out, spent, start)
     i = 0
     while i <= len(tour):
         v = start if i == 0 else tour[i - 1].head
-        sub = grow(v)
-        if sub:
-            tour[i:i] = sub
+        tour[i:i] = _spend(g.out, spent, v)
         i += 1
     if len(tour) != len(g.arcs):
         raise NotEulerianError(
@@ -124,36 +133,16 @@ def walk_avoiding(g: DeBruijnGraph, avoid: AvoidSet) -> Walk:
     before covering the graph; that outcome is returned, not raised.
     """
     check_avoid_set(g, avoid)
-    used: set[Arc] = set()
-    steps: list[Arc] = []
-    cur = avoid.root
-    while True:
-        reserved = avoid.arc_by_vertex.get(cur)
-        arc = next(
-            (a for a in g.out_arcs(cur) if a not in used and a != reserved), None
-        )
-        if arc is None and reserved is not None and reserved not in used:
-            arc = reserved
-        if arc is None:
-            return Walk(avoid.root, tuple(steps))
-        used.add(arc)
-        steps.append(arc)
-        cur = arc.head
+    order = dict(g.out)
+    for v, reserved in avoid.arc_by_vertex.items():
+        order[v] = [a for a in order[v] if a != reserved] + [reserved]
+    return Walk(avoid.root, tuple(_spend(order, {}, avoid.root)))
 
 
 def minimal_walk(g: DeBruijnGraph) -> Walk:
     """Greedy walk from the maximal vertex, always taking the minimum-label
     unvisited arc; no walk from there of equal length has a smaller label."""
-    used: set[Arc] = set()
-    steps: list[Arc] = []
-    cur = g.max_vertex
-    while True:
-        arc = next((a for a in g.out_arcs(cur) if a not in used), None)
-        if arc is None:
-            return Walk(g.max_vertex, tuple(steps))
-        used.add(arc)
-        steps.append(arc)
-        cur = arc.head
+    return Walk(g.max_vertex, tuple(_spend(g.out, {}, g.max_vertex)))
 
 
 def exhaustion_order(walk: Walk, g: DeBruijnGraph) -> dict[Word, int]:

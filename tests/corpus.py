@@ -11,16 +11,21 @@ import itertools
 import random
 
 from debruijn_sft import (
+    Arc,
     AvoidSet,
     DeBruijnGraph,
     Language,
+    NotEulerianError,
     VerificationReport,
+    Walk,
     Word,
+    analyze_max_arcs,
     build_graph,
     check_irreducible,
     exhaustion_order,
     walk_avoiding,
 )
+from debruijn_sft.walks import check_balanced
 
 # Instances where the span-level irreducibility check passes; safe for
 # coverage and counting arguments that need every word to be an arc.
@@ -95,6 +100,18 @@ def random_instances(count: int, seed: int = RANDOM_SEED) -> list[tuple[str, tup
         if check_irreducible(Language.from_text(alphabet, forbidden), span).irreducible:
             out.append(key)
     return out
+
+
+def avoid_sets(g: DeBruijnGraph, rng: random.Random) -> list[AvoidSet]:
+    """The max-arc avoid set, plus random ones with random roots on graphs
+    small enough for the quadratic reference."""
+    sets = [analyze_max_arcs(g).avoid_set()]
+    if len(g.vertices) <= 80:
+        for _ in range(7):
+            root = rng.choice(g.vertices)
+            reserved = {v: rng.choice(g.out_arcs(v)) for v in g.vertices if v != root}
+            sets.append(AvoidSet(root=root, arc_by_vertex=reserved))
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -193,3 +210,83 @@ def oracle_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
                     f"{order.get(u)}"
                 )
     return VerificationReport("exhaustion-order", checks, tuple(violations))
+
+
+def oracle_split_blocks(
+    w: Word, m: Word, words: frozenset[Word], size: int
+) -> tuple[tuple[Word, int], ...] | None:
+    """Backtracking reference for structure._split_blocks: tries every
+    block length at every position and checks the raised-letter condition
+    only on complete decompositions."""
+    n = len(m)
+
+    def conditions_3(blocks: list[tuple[Word, int]]) -> bool:
+        flat = [h + (b,) for h, b in blocks]
+        for i, (_, b) in enumerate(blocks):
+            rotated: Word = ()
+            for chunk in flat[i + 1 :] + flat[: i + 1]:
+                rotated += chunk
+            for b2 in range(b + 1, size):
+                if rotated[:-1] + (b2,) in words:
+                    return False
+        return True
+
+    def rec(rest: Word, acc: list[tuple[Word, int]]):
+        if not rest:
+            return list(acc) if conditions_3(acc) else None
+        for length in range(1, min(n, len(rest)) + 1):
+            h, b = rest[: length - 1], rest[length - 1]
+            if h != m[: length - 1]:
+                continue
+            if b >= m[length - 1]:
+                continue
+            acc.append((h, b))
+            found = rec(rest[length:], acc)
+            acc.pop()
+            if found is not None:
+                return found
+        return None
+
+    found = rec(w, [])
+    return None if found is None else tuple(found)
+
+
+def oracle_greedy_walk(
+    g: DeBruijnGraph, start: Word, used: set[Arc],
+    reserved: dict[Word, Arc] | None = None,
+) -> list[Arc]:
+    """Used-set reference for the greedy walks: at each vertex rescan the
+    out-arcs for the minimum-label one not in `used` and not reserved, take
+    the reserved arc only when nothing else is left, and stop when no
+    unused arc leaves. `used` is updated in place."""
+    reserved = reserved or {}
+    steps: list[Arc] = []
+    cur = start
+    while True:
+        keep = reserved.get(cur)
+        arc = next((a for a in g.out_arcs(cur) if a not in used and a != keep), None)
+        if arc is None and keep is not None and keep not in used:
+            arc = keep
+        if arc is None:
+            return steps
+        used.add(arc)
+        steps.append(arc)
+        cur = arc.head
+
+
+def oracle_eulerian_cycle(g: DeBruijnGraph, start: Word) -> Walk:
+    """Reference for walks.eulerian_cycle: the same splice-at-first-position
+    loop over used-set greedy subcycles."""
+    check_balanced(g)
+    used: set[Arc] = set()
+    tour = oracle_greedy_walk(g, start, used)
+    i = 0
+    while i <= len(tour):
+        v = start if i == 0 else tour[i - 1].head
+        tour[i:i] = oracle_greedy_walk(g, v, used)
+        i += 1
+    if len(tour) != len(g.arcs):
+        raise NotEulerianError(
+            f"only {len(tour)} of {len(g.arcs)} arcs reachable from {start}"
+        )
+    return Walk(start, tuple(tour))

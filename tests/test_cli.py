@@ -198,6 +198,21 @@ def test_oracle_long_circuit_needs_no_recursion(capsys):
     assert fields["oracle-label"] == fields["greedy-label"]
 
 
+def test_words_long_span_needs_no_recursion(capsys):
+    # 1200 letters deep: one stack frame per letter would pass the
+    # recursion limit.
+    code, out, _ = run(capsys, "words", "--alphabet", "01", "--forbid", "0",
+                       "--span", "1200", "--count-only")
+    assert (code, out) == (0, "1\n")
+
+
+def test_later_call_does_not_see_earlier_forbidden_words(capsys):
+    # The parser is shared by every call in the process.
+    run(capsys, "words", "--alphabet", "01", "--forbid", "11", "--span", "3")
+    code, out, _ = run(capsys, "words", "--alphabet", "01", "--span", "3", "--count-only")
+    assert (code, out) == (0, "8\n")
+
+
 def count_calls(monkeypatch, functions):
     """Wrap each function at every package module binding that holds it;
     the returned dict counts calls by function name."""

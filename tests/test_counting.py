@@ -99,6 +99,18 @@ def test_eulerian_count_not_eulerian():
         count_eulerian_cycles(g, (0,))
 
 
+def test_eulerian_count_disconnected_raises():
+    # Two disjoint 2-cycles: balanced, but no spanning tree converges.
+    g = graph_from_arcs(1, Alphabet.from_text("0123"), [
+        Arc((0,), 1, (1,)),
+        Arc((1,), 0, (0,)),
+        Arc((2,), 3, (3,)),
+        Arc((3,), 2, (2,)),
+    ])
+    with pytest.raises(NotEulerianError, match="graph is not strongly connected"):
+        count_eulerian_cycles(g, (0,))
+
+
 def count_from_fixed_first_arc(g, root):
     result = enumerate_eulerian_cycles(g, root, max_arcs=24)
     assert not result.truncated

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from debruijn_sft import (
-    AvoidSet,
     Language,
     analysis_to_json,
     analyze_max_arcs,
@@ -24,7 +23,14 @@ from debruijn_sft import (
 from debruijn_sft import structure
 
 import corpus
-from corpus import ALL_INSTANCES, graph_of, oracle_exhaustion_order, random_instances
+from corpus import (
+    ALL_INSTANCES,
+    avoid_sets,
+    graph_of,
+    oracle_exhaustion_order,
+    oracle_split_blocks,
+    random_instances,
+)
 
 GOLDEN5 = ("01", ("11",), 5)
 BLOCKED4 = ("01", ("01111",), 4)
@@ -131,18 +137,6 @@ def test_verifiers_zero_violations_on_random_corpus():
             assert report.ok, (spec, report)
 
 
-def avoid_sets(g, rng):
-    """The max-arc avoid set, plus random ones with random roots on graphs
-    small enough for the quadratic reference."""
-    sets = [analyze_max_arcs(g).avoid_set()]
-    if len(g.vertices) <= 80:
-        for _ in range(7):
-            root = rng.choice(g.vertices)
-            reserved = {v: rng.choice(g.out_arcs(v)) for v in g.vertices if v != root}
-            sets.append(AvoidSet(root=root, arc_by_vertex=reserved))
-    return sets
-
-
 def test_exhaustion_order_matches_reference():
     rng = random.Random(7)
     for spec in ALL_INSTANCES + random_instances(40):
@@ -213,6 +207,21 @@ def test_obstruction_cross_construction_on_corpus():
         t = analyze_max_arcs(g)
         expected = {u + (t.max_label[u],) for cyc in t.cycles for u in cyc}
         assert {o.word for o in enumerate_obstructions(g)} == expected, spec
+
+
+def test_split_blocks_matches_backtracking_reference():
+    decomposed = 0
+    for spec in ALL_INSTANCES + random_instances(40):
+        g = graph_of(spec)
+        words = frozenset(a.tail + (a.label,) for a in g.arcs)
+        for w in words:
+            for r in range(len(w)):
+                rot = w[r:] + w[:r]
+                got = structure._split_blocks(rot, g)
+                want = oracle_split_blocks(rot, g.max_vertex, words, g.alphabet.size)
+                assert got == want, (spec, rot)
+                decomposed += got is not None
+    assert decomposed
 
 
 def test_obstruction_witnesses_are_valid_decompositions():

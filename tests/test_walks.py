@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from debruijn_sft import (
@@ -19,7 +21,17 @@ from debruijn_sft import (
 )
 from debruijn_sft.language import Alphabet
 
-from corpus import IRREDUCIBLE_INSTANCES, cyclic_windows, graph_of, language_of
+from corpus import (
+    ALL_INSTANCES,
+    IRREDUCIBLE_INSTANCES,
+    avoid_sets,
+    cyclic_windows,
+    graph_of,
+    language_of,
+    oracle_eulerian_cycle,
+    oracle_greedy_walk,
+    random_instances,
+)
 
 BINARY = Alphabet.from_text("01")
 TERNARY = Alphabet.from_text("012")
@@ -93,6 +105,52 @@ def test_minimal_walk_full_binary():
     walk = minimal_walk(g)
     assert g.alphabet.text(walk.label) == "0000100110101111"
     assert walk.is_eulerian(g)
+
+
+def lyndon_words(k, n):
+    """Lyndon words over k letters of length at most n, in lexicographic
+    order (Duval's algorithm)."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        m = len(w)
+        while len(w) < n:
+            w.append(w[len(w) - m])
+        while w and w[-1] == k - 1:
+            w.pop()
+
+
+@pytest.mark.parametrize("alphabet, spans", [("01", range(1, 13)), ("012", range(1, 7))])
+def test_minimal_walk_full_language_is_fkm_sequence(alphabet, spans):
+    # The least de Bruijn sequence of order n+1 concatenates the Lyndon
+    # words whose length divides n+1 (Fredricksen-Kessler-Maiorana).
+    k = len(alphabet)
+    for n in spans:
+        g = build_graph(Language.from_text(alphabet), n)
+        fkm = tuple(x for w in lyndon_words(k, n + 1) if (n + 1) % len(w) == 0 for x in w)
+        assert minimal_walk(g).label == fkm, n
+
+
+def test_greedy_walks_match_used_set_reference():
+    rng = random.Random(5)
+    for spec in ALL_INSTANCES + random_instances(40):
+        g = graph_of(spec)
+        want = oracle_greedy_walk(g, g.max_vertex, set())
+        assert minimal_walk(g) == Walk(g.max_vertex, tuple(want)), spec
+        for avoid in avoid_sets(g, rng):
+            want = oracle_greedy_walk(g, avoid.root, set(), avoid.arc_by_vertex)
+            assert walk_avoiding(g, avoid) == Walk(avoid.root, tuple(want)), spec
+        # The used-set reference is slow; above 300 vertices, sample starts.
+        starts = g.vertices if len(g.vertices) <= 300 else rng.sample(g.vertices, 60)
+        for v in starts:
+            try:
+                want = oracle_eulerian_cycle(g, v)
+            except NotEulerianError as exc:
+                with pytest.raises(NotEulerianError, match=str(exc)):
+                    eulerian_cycle(g, v)
+            else:
+                assert eulerian_cycle(g, v) == want, (spec, v)
 
 
 def test_minimal_walk_truncates_on_blocked_instance():
