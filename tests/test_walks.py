@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -147,7 +148,7 @@ def test_greedy_walks_match_used_set_reference():
             try:
                 want = oracle_eulerian_cycle(g, v)
             except NotEulerianError as exc:
-                with pytest.raises(NotEulerianError, match=str(exc)):
+                with pytest.raises(NotEulerianError, match=re.escape(str(exc))):
                     eulerian_cycle(g, v)
             else:
                 assert eulerian_cycle(g, v) == want, (spec, v)
