@@ -29,5 +29,5 @@ print("Report for the unrestricted binary graph at span 3:")
 for key, value in lower_bound_report(build_graph(Language.from_text("01"), 3)).items():
     print(f"  {key}: {value}")
 print()
-print("The reference power matches the exact tree count at span 3 and")
-print("diverges at other spans; the report always carries both numbers.")
+print("The full-language closed form k^(k^n - n - 1) (BEST theorem) equals")
+print("the exact tree count; the report carries both numbers.")

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .counting import count_eulerian_cycles, out_degree_factorials
@@ -265,17 +266,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except DeBruijnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # One line per warning, without Python's source location and echo.
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except DeBruijnError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, OSError) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entry() -> None:

@@ -158,6 +158,44 @@ def oracle_converging_trees(g: DeBruijnGraph, root: Word) -> int:
     return count
 
 
+def reduced_laplacian(g: DeBruijnGraph, others: list[Word]) -> list[list[int]]:
+    """Out-degree Laplacian with the root's row and column removed; rows
+    and columns follow `others`, every vertex but the root."""
+    index = {v: i for i, v in enumerate(others)}
+    lap = [[0] * len(others) for _ in others]
+    for a in g.arcs:
+        if a.tail == a.head or a.tail not in index:
+            continue
+        lap[index[a.tail]][index[a.tail]] += 1
+        if a.head in index:
+            lap[index[a.tail]][index[a.head]] -= 1
+    return lap
+
+
+def oracle_determinant(matrix: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) elimination over all entries: every division
+    is exact, so the result is exact for any integer matrix."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def cyclic_windows(label: Word, width: int) -> list[Word]:
     doubled = label + label
     return sorted(doubled[i : i + width] for i in range(len(label)))

@@ -1,5 +1,6 @@
 import json
 import sys
+from math import factorial
 
 import pytest
 
@@ -112,6 +113,28 @@ def test_count(capsys):
                        "--span", "5", "--json")
     data = json.loads(out)
     assert data == {"root": "10101", "spanningTrees": "2", "eulerianCycles": "2"}
+
+
+@pytest.mark.parametrize("alphabet, span", [("01", n) for n in range(1, 11)]
+                         + [("012", n) for n in range(1, 7)])
+def test_count_full_language_closed_form(capsys, alphabet, span):
+    k = len(alphabet)
+    expected = factorial(k) ** (k ** span) // k ** (span + 1)
+    code, out, _ = run(capsys, "count", "--alphabet", alphabet, "--span", str(span))
+    assert (code, out) == (0, f"{expected}\n")
+
+
+def test_count_golden_mean_span_12(capsys):
+    # 377 vertices; the value is the fraction-free Bareiss reference's.
+    code, out, _ = run(capsys, "count", "--alphabet", "01", "--forbid", "11", "--span", "12")
+    assert (code, out) == (0, "172689621523970700914229906330739461111808\n")
+
+
+def test_short_span_warning_is_one_line(capsys):
+    code, out, err = run(capsys, "graph", "--alphabet", "01", "--forbid", "011", "--span", "1")
+    assert (code, out) == (0, "span 1\nalphabet 01\nvertices 2\narcs 4\nmax-vertex 1\n")
+    assert err == ("warning: span 1 is shorter than the longest forbidden word minus one; "
+                   "arcs cannot see every constraint\n")
 
 
 def test_oracle_certify(capsys):

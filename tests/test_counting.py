@@ -1,3 +1,6 @@
+import random
+from math import factorial, isqrt
+
 import pytest
 
 from debruijn_sft import (
@@ -7,6 +10,7 @@ from debruijn_sft import (
     build_graph,
     count_converging_spanning_trees,
     count_eulerian_cycles,
+    counting,
     enumerate_eulerian_cycles,
     graph_from_arcs,
     integer_determinant,
@@ -14,7 +18,13 @@ from debruijn_sft import (
 )
 from debruijn_sft.language import Alphabet
 
-from corpus import IRREDUCIBLE_INSTANCES, graph_of, oracle_converging_trees
+from corpus import (
+    IRREDUCIBLE_INSTANCES,
+    graph_of,
+    oracle_converging_trees,
+    oracle_determinant,
+    reduced_laplacian,
+)
 
 BINARY = Alphabet.from_text("01")
 
@@ -25,6 +35,10 @@ def two_cycle():
 
 def loops():
     return graph_from_arcs(1, BINARY, [Arc((0,), 0, (0,)), Arc((0,), 1, (0,))])
+
+
+def graph_laplacian(g):
+    return reduced_laplacian(g, [v for v in g.vertices if v != g.max_vertex])
 
 
 def test_integer_determinant():
@@ -39,6 +53,46 @@ def test_integer_determinant():
     perm = [big[i] for i in (3, 1, 0, 7, 6, 2, 5, 4)]
     got = integer_determinant(perm)
     assert got == -integer_determinant(big) or got == integer_determinant(big)
+
+
+def test_integer_determinant_matches_bareiss_reference():
+    rng = random.Random(11)
+    for n in range(13):
+        for density in (0.2, 1.0):
+            for high in (5, 2 ** 70):
+                m = [[rng.randint(-high, high) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(n)]
+                assert integer_determinant(m) == oracle_determinant(m), m
+
+
+def small_primes():
+    p = 2
+    while True:
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def test_integer_determinant_retries_when_a_pivot_shares_a_prime(monkeypatch):
+    # With 2, 3, 5, ... as the moduli, pivots often share a factor with
+    # the modulus; the elimination must retire those primes and restart.
+    attempts = []
+
+    def source():
+        attempts.append(1)
+        return small_primes()
+
+    monkeypatch.setattr(counting, "_primes", source)
+    assert integer_determinant([[2, 1], [1, 3]]) == 5
+    assert len(attempts) > 1
+    rng = random.Random(7)
+    matrices = [graph_laplacian(graph_of(spec)) for spec in IRREDUCIBLE_INSTANCES[:12]]
+    matrices += [[[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
+                 for n in range(1, 9) for _ in range(5)]
+    attempts.clear()
+    for m in matrices:
+        assert integer_determinant(m) == oracle_determinant(m), m
+    assert len(attempts) > len(matrices)
 
 
 def test_tree_count_trivial_graphs():
@@ -73,15 +127,7 @@ def test_tree_count_invariant_under_vertex_permutation():
     for _ in range(5):
         others = [v for v in g.vertices if v != root]
         rng.shuffle(others)
-        index = {v: i for i, v in enumerate(others)}
-        lap = [[0] * len(others) for _ in others]
-        for a in g.arcs:
-            if a.tail == a.head or a.tail == root:
-                continue
-            lap[index[a.tail]][index[a.tail]] += 1
-            if a.head != root:
-                lap[index[a.tail]][index[a.head]] -= 1
-        assert integer_determinant(lap) == baseline
+        assert integer_determinant(reduced_laplacian(g, others)) == baseline
 
 
 def test_eulerian_count_trivial():
@@ -141,6 +187,17 @@ def test_total_enumeration_is_outdegree_times_best():
     assert len(result.walks) == best * len(g.out_arcs(g.max_vertex))
 
 
+@pytest.mark.parametrize("alphabet, span", [("01", n) for n in range(1, 11)]
+                         + [("012", n) for n in range(1, 7)])
+def test_eulerian_count_full_language_closed_form(alphabet, span):
+    # BEST: (k!)^(k^n) / k^(n+1) circuits through a fixed first arc,
+    # far past the reach of the exhaustive oracle.
+    k = len(alphabet)
+    g = graph_of((alphabet, (), span))
+    expected = factorial(k) ** (k ** span) // k ** (span + 1)
+    assert count_eulerian_cycles(g, g.max_vertex) == expected
+
+
 def test_lower_bound_report():
     rep = lower_bound_report(graph_of(("01", ("11",), 5)))
     # All out-degrees at most 2, so the factorial term collapses to 1.
@@ -151,12 +208,16 @@ def test_lower_bound_report():
     ternary = lower_bound_report(graph_of(("012", (), 2)))
     assert ternary["factorial_term"] == 2 ** 9
 
-    binary3 = lower_bound_report(graph_of(("01", (), 3)))
-    assert binary3["binary_tree_count_reference"] == 2 ** (2 ** 2)
-    assert binary3["spanning_trees"] == 16  # agrees with the power here
+    assert "full_language_tree_count" not in rep
 
-    binary2 = lower_bound_report(graph_of(("01", (), 2)))
-    # The power formula does not pin its span convention; at span 2 the
-    # exact count differs from it, and the report carries both.
-    assert binary2["spanning_trees"] == 2
-    assert binary2["binary_tree_count_reference"] == 4
+
+def test_lower_bound_report_full_language_closed_form():
+    # k^(k^n - n - 1) trees converge to a root in the full k-ary graph.
+    for alphabet, spans in (("01", range(1, 7)), ("012", range(1, 4))):
+        k = len(alphabet)
+        for span in spans:
+            rep = lower_bound_report(graph_of((alphabet, (), span)))
+            assert rep["full_language_tree_count"] == k ** (k ** span - span - 1)
+            assert rep["full_language_tree_count"] == rep["spanning_trees"], (alphabet, span)
+    assert lower_bound_report(graph_of(("01", (), 2)))["full_language_tree_count"] == 2
+    assert lower_bound_report(graph_of(("01", (), 3)))["full_language_tree_count"] == 16
