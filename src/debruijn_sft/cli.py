@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -99,7 +100,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     g = _graph(args)
-    start = g.alphabet.word(args.start) if args.start else g.max_vertex
+    start = g.alphabet.word(args.start) if args.start is not None else g.max_vertex
     walk = eulerian_cycle(g, start)
     if args.json:
         _print_json(walk_to_json(walk, g))
@@ -277,7 +278,16 @@ def main(argv: list[str] | None = None) -> int:
         # One line per warning, without Python's source location and echo.
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # The reader closed stdout: stop quietly, and point stdout at
+            # devnull so the flush at interpreter exit cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
         except DeBruijnError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

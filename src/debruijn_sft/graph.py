@@ -37,11 +37,8 @@ class DeBruijnGraph:
     def out_arcs(self, v: Word) -> tuple[Arc, ...]:
         return self.out.get(v, ())
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_arc_set", frozenset(self.arcs))
-
     def __contains__(self, arc: Arc) -> bool:
-        return arc in self._arc_set  # type: ignore[attr-defined]
+        return arc in self.out.get(arc.tail, ())
 
 
 def graph_from_arcs(
@@ -96,15 +93,12 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     if not words:
         raise EmptyGraphError(f"no words of length {n + 1}")
     raw = [Arc(w[:n], w[n], w[1:]) for w in words]
-    comp_id, winners, best = largest_components([(a.tail, a.head) for a in raw])
-    if not winners:
+    inside, ties, best = largest_components([(a.tail, a.head) for a in raw])
+    if not ties:
         raise EmptyGraphError("every arc crosses between components")
-    if len(winners) > 1:
-        raise AmbiguousComponentError(
-            f"{len(winners)} strongly connected components tie at {best} arcs"
-        )
-    keep = winners[0]
-    arcs = [a for a in raw if comp_id[a.tail] == keep and comp_id[a.head] == keep]
+    if ties > 1:
+        raise AmbiguousComponentError(f"{ties} strongly connected components tie at {best} arcs")
+    arcs = [a for a, keep in zip(raw, inside) if keep]
     return graph_from_arcs(n, lang.alphabet, arcs, language=lang)
 
 

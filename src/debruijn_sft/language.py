@@ -114,11 +114,15 @@ def enumerate_words(lang: Language, n: int) -> list[Word]:
 
     Depth-first extension with forbidden-suffix pruning: a linear
     occurrence of a forbidden factor already rules out every extension, so
-    whole subtrees are skipped; the seam is checked only at full length.
+    whole subtrees are skipped. A full-length prefix is then extended by
+    its own periodic continuation for max_forbidden_len - 1 more letters
+    under the same suffix test, so the windows across the seam are checked
+    once, like every other window.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     forbidden = sorted(lang.forbidden, key=len)
+    full = n + max(lang.max_forbidden_len - 1, 0)
     letters = range(lang.alphabet.size - 1, -1, -1)
     out: list[Word] = []
     # Explicit stack, letters pushed in reverse so words pop in order.
@@ -131,8 +135,10 @@ def enumerate_words(lang: Language, n: int) -> list[Word]:
         else:
             if len(prefix) < n:
                 stack.extend([prefix + (s,) for s in letters])
-            elif is_circular_word(lang, prefix):
-                out.append(prefix)
+            elif len(prefix) < full:
+                stack.append(prefix + (prefix[len(prefix) - n],))
+            else:
+                out.append(prefix[:n])
     return out
 
 
@@ -175,19 +181,12 @@ def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     words = enumerate_words(lang, n + 1)
     if not words:
         return IrreducibilityReport(False, f"no words of length {n + 1}", ())
-    arcs = [(w[:n], w[1:]) for w in words]
-    comp_id, winners, best = largest_components(arcs)
-    if not winners:
+    inside, ties, best = largest_components([(w[:n], w[1:]) for w in words])
+    if not ties:
         return IrreducibilityReport(False, "no component contains an arc", tuple(words))
-    chosen = winners[0]
-    excluded = tuple(
-        w for w, (tail, head) in zip(words, arcs)
-        if not (comp_id[tail] == chosen and comp_id[head] == chosen)
-    )
-    if len(winners) > 1:
-        return IrreducibilityReport(
-            False, f"{len(winners)} components tie at {best} arcs", excluded
-        )
+    excluded = tuple(w for w, keep in zip(words, inside) if not keep)
+    if ties > 1:
+        return IrreducibilityReport(False, f"{ties} components tie at {best} arcs", excluded)
     if excluded:
         return IrreducibilityReport(
             False, f"{len(excluded)} words fall outside the main component", excluded

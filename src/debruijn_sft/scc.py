@@ -63,12 +63,13 @@ def strongly_connected_components(
     return components
 
 
-def largest_components(arcs: Sequence[tuple[V, V]]) -> tuple[dict[V, int], list[int], int]:
-    """Group the arcs (tail, head) by strongly connected component.
+def largest_components(arcs: Sequence[tuple[V, V]]) -> tuple[list[bool], int, int]:
+    """Choose the main strongly connected component of the arcs (tail, head).
 
-    Returns the component index of every vertex, the indices of the
-    components holding the most internal arcs (empty when no arc is
-    internal), and that arc count.
+    The main component is the first one (in Tarjan completion order)
+    holding the most internal arcs. Returns, for each arc in input order,
+    whether it lies inside that component, then the number of components
+    tied at that arc count (0 when no arc is internal), then the count.
     """
     succ: dict[V, list[V]] = {}
     verts: set[V] = set()
@@ -77,10 +78,14 @@ def largest_components(arcs: Sequence[tuple[V, V]]) -> tuple[dict[V, int], list[
         succ.setdefault(tail, []).append(head)
     comps = strongly_connected_components(sorted(verts), lambda v: succ.get(v, ()))
     comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
+    # Component of each arc, -1 for an arc between components.
+    arc_comp = [comp_id[t] if comp_id[t] == comp_id[h] else -1 for t, h in arcs]
     arc_count = [0] * len(comps)
-    for tail, head in arcs:
-        if comp_id[tail] == comp_id[head]:
-            arc_count[comp_id[tail]] += 1
-    best = max(arc_count)
-    winners = [i for i, c in enumerate(arc_count) if c == best and c > 0]
-    return comp_id, winners, best
+    for c in arc_comp:
+        if c >= 0:
+            arc_count[c] += 1
+    best = max(arc_count, default=0)
+    if best == 0:
+        return [False] * len(arcs), 0, 0
+    keep = arc_count.index(best)
+    return [c == keep for c in arc_comp], arc_count.count(best), best

@@ -11,9 +11,11 @@ import itertools
 import random
 
 from debruijn_sft import (
+    AmbiguousComponentError,
     Arc,
     AvoidSet,
     DeBruijnGraph,
+    EmptyGraphError,
     Language,
     NotEulerianError,
     VerificationReport,
@@ -133,6 +135,44 @@ def oracle_words(lang: Language, n: int) -> list[Word]:
         w for w in itertools.product(range(lang.alphabet.size), repeat=n)
         if oracle_is_circular(lang, w)
     ]
+
+
+def oracle_main_component(words: list[Word], n: int) -> set[Word]:
+    """The words whose arcs w[:n] -> w[1:] lie in the strongly connected
+    component with the most internal arcs, by plain reachability: the
+    component of v is what v reaches forward and backward. Raises
+    EmptyGraphError when no arc is internal and AmbiguousComponentError
+    when two components tie."""
+    succ: dict[Word, set[Word]] = {}
+    pred: dict[Word, set[Word]] = {}
+    for w in words:
+        succ.setdefault(w[:n], set()).add(w[1:])
+        pred.setdefault(w[1:], set()).add(w[:n])
+
+    def reach(v: Word, step: dict[Word, set[Word]]) -> set[Word]:
+        seen, todo = {v}, [v]
+        while todo:
+            for u in step.get(todo.pop(), ()):
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    component: dict[Word, frozenset[Word]] = {}
+    for v in {*succ, *pred}:
+        if v not in component:
+            comp = frozenset(reach(v, succ) & reach(v, pred))
+            component.update(dict.fromkeys(comp, comp))
+    inside: dict[frozenset[Word], set[Word]] = {}
+    for w in words:
+        if component[w[:n]] is component[w[1:]]:
+            inside.setdefault(component[w[:n]], set()).add(w)
+    sizes = sorted((len(ws) for ws in inside.values()), reverse=True)
+    if not sizes:
+        raise EmptyGraphError("no arc inside a component")
+    if len(sizes) > 1 and sizes[0] == sizes[1]:
+        raise AmbiguousComponentError(f"components tie at {sizes[0]} arcs")
+    return max(inside.values(), key=len)
 
 
 def oracle_converging_trees(g: DeBruijnGraph, root: Word) -> int:

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,11 @@ def test_seq_start_flag(capsys):
     assert data["start"] == "000"
     assert data["eulerian"] is True
     assert data["arcCount"] == 16
+
+
+def test_seq_empty_start_is_rejected(capsys):
+    code, _, err = run(capsys, "seq", "--alphabet", "01", "--span", "3", "--start", "")
+    assert (code, err) == (2, "usage error: vertex () is not in the graph\n")
 
 
 def test_minimal(capsys):
@@ -227,6 +235,19 @@ def test_words_long_span_needs_no_recursion(capsys):
     code, out, _ = run(capsys, "words", "--alphabet", "01", "--forbid", "0",
                        "--span", "1200", "--count-only")
     assert (code, out) == (0, "1\n")
+
+
+def test_closed_stdout_reader_stops_quietly():
+    # 16384 lines are more than a pipe holds, so writing must fail once the
+    # reader has closed its end, buffered or not.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "debruijn_sft", "words", "--alphabet", "01", "--span", "14"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_later_call_does_not_see_earlier_forbidden_words(capsys):

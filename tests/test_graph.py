@@ -162,6 +162,19 @@ def test_arc_word_bijection():
         arc_to_word(g, foreign)
 
 
+def test_membership_compares_the_whole_arc():
+    g = golden5()
+    for v in g.vertices:
+        labels = {a.label for a in g.out_arcs(v)}
+        for s in range(g.alphabet.size):
+            if s not in labels:
+                assert Arc(v, s, v[1:] + (s,)) not in g
+    for a in g.arcs:
+        assert a in g
+        if a.head != a.tail:
+            assert Arc(a.tail, a.label, a.tail) not in g
+
+
 def test_walk_label_target():
     g = golden5()
     a = g.alphabet

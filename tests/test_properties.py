@@ -1,0 +1,132 @@
+"""Property tests over random languages and random command lines.
+
+Enumeration, the main-component choice and the irreducibility check are
+compared with the brute-force oracles of `corpus`; the CLI is fed random
+flags and must answer every one with exit 0, 1 or 2. The module skips
+without hypothesis.
+"""
+
+import contextlib
+import io
+import warnings
+
+import pytest
+
+from debruijn_sft import (
+    AmbiguousComponentError,
+    EmptyGraphError,
+    Language,
+    build_graph,
+    check_irreducible,
+    enumerate_words,
+)
+from debruijn_sft.cli import main
+
+from corpus import oracle_main_component, oracle_words
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def languages(draw):
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    forbidden = draw(st.lists(st.text(alphabet, min_size=1, max_size=6), max_size=3))
+    return Language.from_text(alphabet, forbidden)
+
+
+spans = st.integers(1, 7)
+
+
+def kept_words(lang: Language, n: int) -> set:
+    """The words carried by the arcs of build_graph(lang, n)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # spans shorter than a forbidden word
+        g = build_graph(lang, n)
+    return {a.tail + (a.label,) for a in g.arcs}
+
+
+def outcome(fn, *args):
+    """What fn returns, or the class of the component error it raises."""
+    try:
+        return fn(*args)
+    except (EmptyGraphError, AmbiguousComponentError) as exc:
+        return type(exc)
+
+
+# A forbidden word longer than the span: its test wraps round the seam
+# more than once.
+@example(Language.from_text("01", ["010101"]), 2)
+@example(Language.from_text("012", ["000000", "12"]), 1)
+@given(languages(), spans)
+def test_enumeration_matches_cube_filter(lang, n):
+    assert enumerate_words(lang, n) == oracle_words(lang, n)
+
+
+@example(Language.from_text("01", ["01111"]), 4)   # a stray self-loop component
+@example(Language.from_text("01", ["01", "10"]), 2)   # two tied loops
+@given(languages(), spans)
+def test_graph_keeps_the_main_component(lang, n):
+    words = enumerate_words(lang, n + 1)
+    if not words:
+        return
+    assert outcome(kept_words, lang, n) == outcome(oracle_main_component, words, n)
+
+
+@example(Language.from_text("01", ["01111"]), 4)
+@given(languages(), spans)
+def test_irreducible_exactly_when_every_word_is_kept(lang, n):
+    words = enumerate_words(lang, n + 1)
+    report = check_irreducible(lang, n)
+    kept = outcome(kept_words, lang, n) if words else EmptyGraphError
+    assert report.irreducible == (kept == set(words))
+    if isinstance(kept, set):
+        assert set(report.excluded) == set(words) - kept
+
+
+COMMANDS = ("words", "graph", "seq", "minimal", "check", "count", "oracle", "verify")
+TAKES_JSON_FLAG = {"words", "seq", "minimal", "check", "count", "oracle"}
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly well-formed command lines, with a bad value now and then:
+    no or an invalid alphabet, empty or out-of-alphabet forbidden words,
+    span 0, a start vertex outside the graph, a negative arc bound."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    alphabet = draw(st.sampled_from(["01", "012", "ba"] * 3 + ["0", "00", "", None]))
+    if alphabet is not None:
+        argv += ["--alphabet", alphabet]
+    letters = alphabet or "01"
+    for word in draw(st.lists(st.text(letters, min_size=1, max_size=4), max_size=3)):
+        argv += ["--forbid", word]
+    bad_word = draw(st.sampled_from([None] * 8 + ["", "3"]))
+    if bad_word is not None:
+        argv += ["--forbid", bad_word]
+    span = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 0]))
+    argv += ["--span", str(span)]
+    if command == "seq" and draw(st.booleans()):
+        vertex = st.text(letters, min_size=span, max_size=span)
+        argv += ["--start", draw(vertex | st.text(letters + "3", max_size=7))]
+    if command == "oracle":
+        if draw(st.booleans()):
+            argv += ["--max-arcs", str(draw(st.integers(-1, 30)))]
+        if draw(st.booleans()):
+            argv.append("--global")
+    if command in TAKES_JSON_FLAG and draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=200)
+@given(command_lines())
+def test_cli_exits_0_1_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejected the flags
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

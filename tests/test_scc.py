@@ -1,4 +1,4 @@
-from debruijn_sft.scc import strongly_connected_components
+from debruijn_sft.scc import largest_components, strongly_connected_components
 
 
 def components(vertices, edges):
@@ -48,3 +48,19 @@ def test_long_cycle():
     comps = strongly_connected_components(vertices, lambda v: succ[v])
     assert len(comps) == 1
     assert len(comps[0]) == n
+
+
+def test_largest_components_marks_the_arcs_of_the_main_component():
+    # A 3-cycle, an arc out of it, and a self-loop beyond.
+    arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3)]
+    assert largest_components(arcs) == ([True, True, True, False, False], 1, 3)
+
+
+def test_largest_components_tie_keeps_the_first_completed():
+    # Two 2-cycles joined by an arc; Tarjan completes {2, 3} first.
+    arcs = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]
+    assert largest_components(arcs) == ([False, False, False, True, True], 2, 2)
+
+
+def test_largest_components_without_internal_arcs():
+    assert largest_components([(0, 1), (1, 2)]) == ([False, False], 0, 0)
