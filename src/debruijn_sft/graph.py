@@ -2,7 +2,8 @@
 connected component.
 
 Vertices are length-n words, arcs come one-for-one from the circular words
-of length n+1: the word w yields the arc w[:n] -> w[1:] labeled w[n]. All
+of length n+1: the word w yields the arc w[:n] -> w[1:] labeled w[n]. An
+arc is a tuple (tail, label, head), so tuple order is arc order. All
 orderings (vertex list, arc list, per-vertex out-arcs) are deterministic.
 """
 
@@ -10,15 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
 from .language import Language, Alphabet, Word, enumerate_words, is_circular_word
 from .scc import largest_components
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: Word
     label: int
     head: Word
@@ -52,18 +52,15 @@ def graph_from_arcs(
     """
     if not arcs:
         raise EmptyGraphError("no arcs")
-    ordered = tuple(sorted(arcs, key=lambda a: (a.tail, a.label)))
-    verts: set[Word] = set()
-    for a in ordered:
-        verts.update((a.tail, a.head))
+    ordered = tuple(sorted(arcs))
+    for a, b in zip(ordered, ordered[1:]):
+        if a.tail == b.tail and a.label == b.label:
+            raise ValueError(f"vertex {a.tail} has two out-arcs with the same label")
+    verts = {a.tail for a in ordered} | {a.head for a in ordered}
     out: dict[Word, list[Arc]] = {v: [] for v in sorted(verts)}
     for a in ordered:
         out[a.tail].append(a)
-    for v, lst in out.items():
-        labels = [a.label for a in lst]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"vertex {v} has two out-arcs with the same label")
-    vertices = tuple(sorted(verts))
+    vertices = tuple(out)
     return DeBruijnGraph(
         span=span,
         alphabet=alphabet,
@@ -78,7 +75,7 @@ def graph_from_arcs(
 def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     """Build the span-n graph of the language.
 
-    Raises EmptyGraphError when no component holds an arc and
+    Raises EmptyGraphError when there are no words of length n+1 and
     AmbiguousComponentError when two components tie for the maximal arc
     count (the construction is only well defined with a unique winner).
     """
@@ -92,13 +89,17 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     words = enumerate_words(lang, n + 1)
     if not words:
         raise EmptyGraphError(f"no words of length {n + 1}")
-    raw = [Arc(w[:n], w[n], w[1:]) for w in words]
-    inside, ties, best = largest_components([(a.tail, a.head) for a in raw])
-    if not ties:
-        raise EmptyGraphError("every arc crosses between components")
+    vertex: dict[Word, Word] = {}
+    ends = []
+    for w in words:
+        tail, head = w[:n], w[1:]
+        ends.append((vertex.setdefault(tail, tail), vertex.setdefault(head, head)))
+    # The n+1 rotations of a word are a closed walk, so some component
+    # holds an arc and ties >= 1.
+    inside, ties, best = largest_components(ends)
     if ties > 1:
         raise AmbiguousComponentError(f"{ties} strongly connected components tie at {best} arcs")
-    arcs = [a for a, keep in zip(raw, inside) if keep]
+    arcs = [Arc(t, w[n], h) for w, (t, h), keep in zip(words, ends, inside) if keep]
     return graph_from_arcs(n, lang.alphabet, arcs, language=lang)
 
 

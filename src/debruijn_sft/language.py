@@ -117,7 +117,8 @@ def enumerate_words(lang: Language, n: int) -> list[Word]:
     whole subtrees are skipped. A full-length prefix is then extended by
     its own periodic continuation for max_forbidden_len - 1 more letters
     under the same suffix test, so the windows across the seam are checked
-    once, like every other window.
+    once, like every other window. A prefix is tested before it is pushed,
+    so the stack holds only live prefixes.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -126,19 +127,21 @@ def enumerate_words(lang: Language, n: int) -> list[Word]:
     letters = range(lang.alphabet.size - 1, -1, -1)
     out: list[Word] = []
     # Explicit stack, letters pushed in reverse so words pop in order.
-    stack: list[Word] = [(s,) for s in letters]
+    stack: list[Word] = [()]
     while stack:
         prefix = stack.pop()
-        for f in forbidden:
-            if len(f) <= len(prefix) and prefix[-len(f) :] == f:
-                break
-        else:
-            if len(prefix) < n:
-                stack.extend([prefix + (s,) for s in letters])
-            elif len(prefix) < full:
-                stack.append(prefix + (prefix[len(prefix) - n],))
+        depth = len(prefix)
+        if depth == full:
+            out.append(prefix[:n])
+            continue
+        for s in letters if depth < n else (prefix[depth - n],):
+            child = prefix + (s,)
+            # A forbidden word longer than child cannot equal its suffix.
+            for f in forbidden:
+                if child[-len(f) :] == f:
+                    break
             else:
-                out.append(prefix[:n])
+                stack.append(child)
     return out
 
 
@@ -182,8 +185,6 @@ def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     if not words:
         return IrreducibilityReport(False, f"no words of length {n + 1}", ())
     inside, ties, best = largest_components([(w[:n], w[1:]) for w in words])
-    if not ties:
-        return IrreducibilityReport(False, "no component contains an arc", tuple(words))
     excluded = tuple(w for w, keep in zip(words, inside) if not keep)
     if ties > 1:
         return IrreducibilityReport(False, f"{ties} components tie at {best} arcs", excluded)

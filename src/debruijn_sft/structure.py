@@ -46,10 +46,6 @@ class MaxArcAnalysis:
     def avoid_set(self) -> AvoidSet:
         return AvoidSet(root=self.root, arc_by_vertex=self.max_arc)
 
-    def successor(self, v: Word) -> Word | None:
-        arc = self.max_arc.get(v)
-        return None if arc is None else arc.head
-
 
 @dataclass(frozen=True)
 class VertexClass:
@@ -182,6 +178,20 @@ def classify_vertex(t: MaxArcAnalysis, v: Word) -> VertexClass:
 # Lemma-level verifiers. Each replays one structural fact over the whole
 # graph and reports violations; all must come back empty.
 
+def _max_arc_labels(t: MaxArcAnalysis, start: Word, k: int) -> Word:
+    """Labels of the first k max arcs on the walk from start; fewer when
+    the walk reaches the root first."""
+    labels = []
+    cur = start
+    for _ in range(k):
+        arc = t.max_arc.get(cur)
+        if arc is None:
+            break
+        labels.append(arc.label)
+        cur = arc.head
+    return tuple(labels)
+
+
 def verify_label_monotonicity(t: MaxArcAnalysis) -> VerificationReport:
     """Along any max-arc walk of span+2 steps, the first label never
     exceeds the label taken span+1 steps later."""
@@ -190,14 +200,7 @@ def verify_label_monotonicity(t: MaxArcAnalysis) -> VerificationReport:
     checks = 0
     violations = []
     for v in g.vertices:
-        labels = []
-        cur = v
-        for _ in range(length):
-            arc = t.max_arc.get(cur)
-            if arc is None:
-                break
-            labels.append(arc.label)
-            cur = arc.head
+        labels = _max_arc_labels(t, v, length)
         if len(labels) < length:
             continue
         checks += 1
@@ -207,16 +210,6 @@ def verify_label_monotonicity(t: MaxArcAnalysis) -> VerificationReport:
                 f"at step {length}"
             )
     return VerificationReport("label-monotonicity", checks, tuple(violations))
-
-
-def _cycle_loop_label(t: MaxArcAnalysis, start: Word, length: int) -> Word:
-    labels = []
-    cur = start
-    for _ in range(length):
-        arc = t.max_arc[cur]
-        labels.append(arc.label)
-        cur = arc.head
-    return tuple(labels)
 
 
 def verify_cycle_structure(t: MaxArcAnalysis) -> VerificationReport:
@@ -234,7 +227,7 @@ def verify_cycle_structure(t: MaxArcAnalysis) -> VerificationReport:
         reps = (n + 1) // len(cyc)
         for u in cyc:
             succ = t.max_arc[u].head
-            expected = _cycle_loop_label(t, succ, len(cyc)) * reps
+            expected = _max_arc_labels(t, succ, len(cyc)) * reps
             if u + (t.max_label[u],) != expected:
                 violations.append(
                     f"cycle {cyc}: vertex {u} with label {t.max_label[u]} "
@@ -529,7 +522,7 @@ def analysis_to_json(decision: Decision) -> dict:
         "cycles": [
             {
                 "vertices": [alpha.text(v) for v in cyc],
-                "label": alpha.text(_cycle_loop_label(t, cyc[0], len(cyc))),
+                "label": alpha.text(_max_arc_labels(t, cyc[0], len(cyc))),
             }
             for cyc in t.cycles
         ],

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from debruijn_sft import (
     word_to_arc,
 )
 
-from corpus import IRREDUCIBLE_INSTANCES, graph_of, language_of
+from corpus import ALL_INSTANCES, IRREDUCIBLE_INSTANCES, graph_of, language_of
 
 GOLDEN = Language.from_text("01", ("11",))
 
@@ -224,3 +225,41 @@ def test_graph_from_arcs_rejects_duplicate_labels():
     a = Language.from_text("01").alphabet
     with pytest.raises(ValueError):
         graph_from_arcs(1, a, [Arc((0,), 0, (0,)), Arc((0,), 0, (1,))])
+    # Unsorted input with two offending vertices names the first one.
+    arcs = [Arc((1,), 1, (1,)), Arc((1,), 1, (0,)), Arc((0,), 0, (0,)), Arc((0,), 0, (1,))]
+    with pytest.raises(ValueError, match=r"^vertex \(0,\) has two out-arcs with the same label$"):
+        graph_from_arcs(1, a, arcs)
+
+
+@pytest.mark.parametrize("spec", ALL_INSTANCES, ids=str)
+def test_graph_from_arcs_sorts_any_arc_order(spec):
+    g = graph_of(spec)
+    shuffled = list(g.arcs)
+    random.Random(len(shuffled)).shuffle(shuffled)
+    for arcs in (shuffled, g.arcs[::-1]):
+        h = graph_from_arcs(g.span, g.alphabet, arcs, language=g.language)
+        assert h.vertices == g.vertices
+        assert h.arcs == g.arcs
+        assert h.out == g.out
+        assert h.max_vertex == g.max_vertex
+
+
+@pytest.mark.parametrize("spec", ALL_INSTANCES, ids=str)
+def test_build_graph_keeps_one_tuple_per_vertex(spec):
+    g = graph_of(spec)
+    vertex = {v: v for v in g.vertices}
+    for a in g.arcs:
+        assert a.tail is vertex[a.tail]
+        assert a.head is vertex[a.head]
+
+
+def test_arc_is_an_immutable_record():
+    arc = Arc(tail=(0, 1), label=1, head=(1, 1))
+    assert (arc.tail, arc.label, arc.head) == ((0, 1), 1, (1, 1))
+    assert repr(arc) == "Arc(tail=(0, 1), label=1, head=(1, 1))"
+    twin = Arc((0, 1), 1, (1, 1))
+    assert arc == twin and hash(arc) == hash(twin)
+    assert arc != Arc((0, 1), 0, (1, 0))
+    assert len({arc, twin, Arc((0, 1), 0, (1, 0))}) == 2
+    with pytest.raises(AttributeError):
+        arc.label = 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from debruijn_sft import (
@@ -108,6 +110,20 @@ def test_enumerate_matches_brute_force_and_is_sorted():
             got = enumerate_words(lang, n)
             assert got == oracle_words(lang, n)
             assert got == sorted(got)
+
+
+def test_enumeration_memory_stays_flat_on_a_thin_language():
+    # Only 0...0 survives; pruned siblings must not pile up on the stack,
+    # which would cost memory quadratic in the length.
+    only_zeros = Language.from_text("01", ("1",))
+    tracemalloc.start()
+    try:
+        words = enumerate_words(only_zeros, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == [(0,) * 2000]
+    assert peak < 1_000_000
 
 
 def test_unrestricted_counts_are_powers():

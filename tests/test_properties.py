@@ -1,9 +1,10 @@
 """Property tests over random languages and random command lines.
 
 Enumeration, the main-component choice and the irreducibility check are
-compared with the brute-force oracles of `corpus`; the CLI is fed random
-flags and must answer every one with exit 0, 1 or 2. The module skips
-without hypothesis.
+compared with the brute-force oracles of `corpus`; the greedy-walk decision
+is compared with the greedy walk itself at spans past the oracles' reach;
+the CLI is fed random flags and must answer every one with exit 0, 1 or 2.
+The module skips without hypothesis.
 """
 
 import contextlib
@@ -18,7 +19,9 @@ from debruijn_sft import (
     Language,
     build_graph,
     check_irreducible,
+    decide_minimal_is_eulerian,
     enumerate_words,
+    minimal_walk,
 )
 from debruijn_sft.cli import main
 
@@ -82,6 +85,26 @@ def test_irreducible_exactly_when_every_word_is_kept(lang, n):
     assert report.irreducible == (kept == set(words))
     if isinstance(kept, set):
         assert set(report.excluded) == set(words) - kept
+
+
+@st.composite
+def wide_instances(draw):
+    """A language with a span: binary up to 12, ternary up to 7."""
+    alphabet, top = draw(st.sampled_from([("01", 12), ("012", 7)]))
+    forbidden = draw(st.lists(st.text(alphabet, min_size=1, max_size=6), max_size=3))
+    return Language.from_text(alphabet, forbidden), draw(st.integers(1, top))
+
+
+@settings(max_examples=120, deadline=None)
+@given(wide_instances())
+def test_decision_matches_greedy_walk_coverage(instance):
+    lang, n = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # spans shorter than a forbidden word
+        g = outcome(build_graph, lang, n)
+    if isinstance(g, type):
+        return
+    assert decide_minimal_is_eulerian(g).answer == minimal_walk(g).is_eulerian(g)
 
 
 COMMANDS = ("words", "graph", "seq", "minimal", "check", "count", "oracle", "verify")
