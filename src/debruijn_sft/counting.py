@@ -66,9 +66,12 @@ def integer_determinant(matrix: list[list[int]]) -> int:
     arbitrarily large entries. Rows are kept as {column: value} dicts, and
     rows with nothing in the pivot column are skipped. A pivot that shares
     a factor with M (a chance of about one in 2**61 per prime and step)
-    retires those primes and restarts the elimination.
+    retires those primes and restarts the elimination. A matrix that is
+    not square raises ValueError.
     """
     size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("matrix is not square")
     sparse = [{j: a for j, a in enumerate(row) if a} for row in matrix]
     norms = prod(sum(a * a for a in row.values()) for row in sparse)
     if not norms:

@@ -39,11 +39,14 @@ def enumerate_eulerian_cycles(
     """Every Eulerian circuit from `start`, in lexicographic label order.
 
     Backtracking tries arcs in ascending label order, so circuits come out
-    sorted by label; `cap` stops the search early and flags truncation.
+    sorted by label; `cap` (at least 1) stops the search early and flags
+    truncation.
     """
     _guard(g, max_arcs)
     if start not in g.out:
         raise ValueError(f"vertex {start} is not in the graph")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     total = len(g.arcs)
     used: set = set()
     path: list = []

@@ -338,44 +338,28 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
     reserved = avoid.arc_by_vertex
     on_cycle = {v for cyc in _functional_cycles(g.vertices, reserved) for v in cyc}
 
-    # Off the cycles the reserved arcs form a forest: a vertex's parent is
-    # the head of its reserved arc, and the roots are the vertices whose
-    # path leaves the forest next (at a cycle or at the avoid-set root).
-    feeders: dict[Word, list[Word]] = {}
-    roots: list[Word] = []
-    for v in g.vertices:
-        if v in on_cycle:
-            continue
-        arc = reserved.get(v)
-        if arc is None or arc.head in on_cycle:
-            roots.append(v)
-        else:
-            feeders.setdefault(arc.head, []).append(v)
-    # In a preorder of the reversed forest, the vertices that drain into v
-    # are the size[v] - 1 entries right after v.
-    preorder: list[Word] = []
-    stack = roots
-    while stack:
-        v = stack.pop()
-        preorder.append(v)
-        stack.extend(feeders.get(v, ()))
-    first = {v: i for i, v in enumerate(preorder)}
-    size: dict[Word, int] = {}
-    for v in reversed(preorder):
-        size[v] = 1 + sum(size[u] for u in feeders.get(v, ()))
-
+    # Off the cycles the reserved arcs form a forest; walking up from u
+    # meets every v that u drains into.
+    parent = {
+        v: a.head for v, a in reserved.items()
+        if v not in on_cycle and a.head not in on_cycle
+    }
     checks = 0
-    violations = []
-    for v in g.vertices:
-        if v in on_cycle or v not in order:
-            continue
-        upstream = preorder[first[v] + 1 : first[v] + size[v]]
-        checks += len(upstream)
-        for u in sorted(u for u in upstream if u not in order or order[u] > order[v]):
-            violations.append(
-                f"{v} exhausted at {order[v]} but upstream {u} at "
-                f"{order.get(u)}"
-            )
+    late = []
+    for u in g.vertices:
+        t = order.get(u)
+        v = parent.get(u)
+        while v is not None:
+            tv = order.get(v)
+            if tv is not None:
+                checks += 1
+                if t is None or t > tv:
+                    late.append((v, u))
+            v = parent.get(v)
+    violations = [
+        f"{v} exhausted at {order[v]} but upstream {u} at {order.get(u)}"
+        for v, u in sorted(late)
+    ]
     return VerificationReport("exhaustion-order", checks, tuple(violations))
 
 
@@ -418,28 +402,28 @@ def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
     """All arc words admitting an obstruction decomposition on some
     rotation, with one witness each.
 
-    Parses each rotation into blocks, independent of the max-arc subgraph;
-    results are memoized per rotation class since the outcome for a word
-    depends only on its rotations.
+    Parses each rotation into blocks, independent of the max-arc subgraph.
+    The outcome depends only on a word's rotation class, so one table maps
+    every rotation of each class seen to the class's witness, or to None.
     """
-    cache: dict[Word, tuple[Word, tuple[tuple[Word, int], ...]] | None] = {}
+    witness: dict[Word, tuple[Word, tuple[tuple[Word, int], ...]] | None] = {}
     out: list[Obstruction] = []
     for a in g.arcs:   # sorted by (tail, label), so words come out in order
         w = a.tail + (a.label,)
-        rots = [w[r:] + w[:r] for r in range(len(w))]
-        key = min(rots)
-        if key not in cache:
+        if w not in witness:
+            rots = [w[r:] + w[:r] for r in range(len(w))]
             hit = None
             for cand in sorted(set(rots)):
                 blocks = _split_blocks(cand, g)
                 if blocks is not None:
                     hit = (cand, blocks)
                     break
-            cache[key] = hit
-        hit = cache[key]
+            witness.update(dict.fromkeys(rots, hit))
+        hit = witness[w]
         if hit is not None:
             rotated, blocks = hit
-            out.append(Obstruction(word=w, rotation=rots.index(rotated), blocks=blocks))
+            r = next(r for r in range(len(w)) if w[r:] + w[:r] == rotated)
+            out.append(Obstruction(word=w, rotation=r, blocks=blocks))
     return tuple(out)
 
 
@@ -480,10 +464,10 @@ def verify_greedy_decision(decision: Decision) -> VerificationReport:
         )
     obstruction_words = {o.word for o in decision.obstructions}
     for cyc in t.cycles:
-        reps = (g.span + 1) // len(cyc) if (g.span + 1) % len(cyc) == 0 else None
+        divides = (g.span + 1) % len(cyc) == 0
         for u in cyc:
             checks += 1
-            if reps is None or u + (t.max_label[u],) not in obstruction_words:
+            if not divides or u + (t.max_label[u],) not in obstruction_words:
                 violations.append(f"cycle word for {u} missing from obstructions")
     tree_arcs = set(t.max_arc.values())
     for o in decision.obstructions:
@@ -492,7 +476,7 @@ def verify_greedy_decision(decision: Decision) -> VerificationReport:
             rot = w[r:] + w[:r]
             checks += 1
             arc = Arc(rot[:-1], rot[-1], rot[1:])
-            if arc not in g or arc not in tree_arcs:
+            if arc not in tree_arcs:
                 violations.append(
                     f"obstruction {w}: rotation {rot} is not a max-arc of the graph"
                 )

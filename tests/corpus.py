@@ -11,6 +11,7 @@ import itertools
 import random
 
 from debruijn_sft import (
+    Alphabet,
     AmbiguousComponentError,
     Arc,
     AvoidSet,
@@ -18,6 +19,7 @@ from debruijn_sft import (
     EmptyGraphError,
     Language,
     NotEulerianError,
+    Obstruction,
     VerificationReport,
     Walk,
     Word,
@@ -25,8 +27,10 @@ from debruijn_sft import (
     build_graph,
     check_irreducible,
     exhaustion_order,
+    graph_from_arcs,
     walk_avoiding,
 )
+from debruijn_sft.structure import _split_blocks
 from debruijn_sft.walks import check_balanced
 
 # Instances where the span-level irreducibility check passes; safe for
@@ -102,6 +106,27 @@ def random_instances(count: int, seed: int = RANDOM_SEED) -> list[tuple[str, tup
         if check_irreducible(Language.from_text(alphabet, forbidden), span).irreducible:
             out.append(key)
     return out
+
+
+def random_hand_built_graphs(count: int, seed: int) -> list[DeBruijnGraph]:
+    """Graphs assembled arc by arc: spans 1-3, alphabets 01 or 012, 1-6
+    vertices, distinct labels per tail and arbitrary heads. Unlike language
+    graphs, their arc words need not be closed under rotation."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        alphabet = Alphabet.from_text(rng.choice(["01", "012"]))
+        span = rng.randint(1, 3)
+        cube = list(itertools.product(range(alphabet.size), repeat=span))
+        vertices = rng.sample(cube, rng.randint(1, min(6, len(cube))))
+        arcs = [
+            Arc(v, label, rng.choice(vertices))
+            for v in vertices
+            for label in rng.sample(range(alphabet.size), rng.randint(0, alphabet.size))
+        ]
+        if arcs:
+            graphs.append(graph_from_arcs(span, alphabet, arcs))
+    return graphs
 
 
 def avoid_sets(g: DeBruijnGraph, rng: random.Random) -> list[AvoidSet]:
@@ -288,6 +313,30 @@ def oracle_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
                     f"{order.get(u)}"
                 )
     return VerificationReport("exhaustion-order", checks, tuple(violations))
+
+
+def oracle_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
+    """Reference for structure.enumerate_obstructions: keys each rotation
+    class by its least rotation and builds every arc word's rotations."""
+    cache: dict[Word, tuple[Word, tuple[tuple[Word, int], ...]] | None] = {}
+    out: list[Obstruction] = []
+    for a in g.arcs:   # sorted by (tail, label), so words come out in order
+        w = a.tail + (a.label,)
+        rots = [w[r:] + w[:r] for r in range(len(w))]
+        key = min(rots)
+        if key not in cache:
+            hit = None
+            for cand in sorted(set(rots)):
+                blocks = _split_blocks(cand, g)
+                if blocks is not None:
+                    hit = (cand, blocks)
+                    break
+            cache[key] = hit
+        hit = cache[key]
+        if hit is not None:
+            rotated, blocks = hit
+            out.append(Obstruction(word=w, rotation=rots.index(rotated), blocks=blocks))
+    return tuple(out)
 
 
 def oracle_split_blocks(

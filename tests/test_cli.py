@@ -168,6 +168,44 @@ def test_verify_clean(capsys):
     assert all(line.startswith("ok ") for line in out.splitlines())
 
 
+# Full `verify` output on graphs with thousands of vertices, past the reach
+# of the quadratic exhaustion-order reference.
+@pytest.mark.parametrize("forbid, span, expected", [
+    ("11", 16, [
+        "ok exhaustion-order checks=28561",
+        "ok label-monotonicity checks=1946",
+        "ok cycle-structure checks=6",
+        "ok overlap-bounds checks=3570",
+        "ok floor-paths checks=5643",
+        "ok cycle-label-blocks checks=5",
+        "ok cycle-label-blocks checks=3",
+        "ok cycle-label-blocks checks=3",
+        "ok cycle-label-blocks checks=3",
+        "ok cycle-label-blocks checks=3",
+        "ok cycle-label-blocks checks=3",
+        "ok greedy-decision checks=1837",
+    ]),
+    ("01111", 12, [
+        "ok exhaustion-order checks=12171",
+        "ok label-monotonicity checks=2224",
+        "ok cycle-structure checks=5",
+        "ok overlap-bounds checks=5070",
+        "ok floor-paths checks=8978",
+        "ok cycle-label-blocks checks=5",
+        "ok cycle-label-blocks checks=2",
+        "ok cycle-label-blocks checks=2",
+        "ok cycle-label-blocks checks=2",
+        "ok cycle-label-blocks checks=3",
+        "ok greedy-decision checks=911",
+    ]),
+], ids=["golden-16", "01111-12"])
+def test_verify_pinned_on_large_graphs(capsys, forbid, span, expected):
+    code, out, _ = run(capsys, "verify", "--alphabet", "01", "--forbid", forbid,
+                       "--span", str(span))
+    assert code == 0
+    assert out.splitlines() == expected
+
+
 def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "graph", "--alphabet", "01", "--forbid", "01",
                        "--forbid", "10", "--span", "2")

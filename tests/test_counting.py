@@ -55,6 +55,12 @@ def test_integer_determinant():
     assert got == -integer_determinant(big) or got == integer_determinant(big)
 
 
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [[1, 2], [3]]])
+def test_integer_determinant_rejects_non_square(matrix):
+    with pytest.raises(ValueError, match="not square"):
+        integer_determinant(matrix)
+
+
 def test_integer_determinant_matches_bareiss_reference():
     rng = random.Random(11)
     for n in range(13):

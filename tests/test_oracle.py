@@ -49,6 +49,13 @@ def test_enumeration_cap_truncates():
     assert len(result.walks) == 3
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_enumeration_rejects_cap_below_one(cap):
+    g = graph_of(("01", (), 3))
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        enumerate_eulerian_cycles(g, g.max_vertex, cap=cap)
+
+
 def test_size_guard():
     g = graph_of(("01", (), 4))  # 32 arcs
     with pytest.raises(TooLargeError):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from debruijn_sft import (
+    AvoidSet,
     Language,
     analysis_to_json,
     analyze_max_arcs,
@@ -28,7 +29,9 @@ from corpus import (
     avoid_sets,
     graph_of,
     oracle_exhaustion_order,
+    oracle_obstructions,
     oracle_split_blocks,
+    random_hand_built_graphs,
     random_instances,
 )
 
@@ -145,6 +148,21 @@ def test_exhaustion_order_matches_reference():
             assert verify_exhaustion_order(g, avoid) == oracle_exhaustion_order(g, avoid), spec
 
 
+def test_exhaustion_order_matches_reference_on_hand_built_graphs():
+    rng = random.Random(13)
+    compared = 0
+    for g in random_hand_built_graphs(600, seed=13):
+        for root in g.vertices:
+            others = [v for v in g.vertices if v != root]
+            if not all(g.out_arcs(v) for v in others):
+                continue
+            reserved = {v: rng.choice(g.out_arcs(v)) for v in others}
+            avoid = AvoidSet(root=root, arc_by_vertex=reserved)
+            assert verify_exhaustion_order(g, avoid) == oracle_exhaustion_order(g, avoid), g.arcs
+            compared += 1
+    assert compared > 500
+
+
 def test_exhaustion_order_violations_match_reference(monkeypatch):
     # Shuffled exhaustion times break the ordering fact, so both verifiers
     # must report the same violations in the same order.
@@ -207,6 +225,23 @@ def test_obstruction_cross_construction_on_corpus():
         t = analyze_max_arcs(g)
         expected = {u + (t.max_label[u],) for cyc in t.cycles for u in cyc}
         assert {o.word for o in enumerate_obstructions(g)} == expected, spec
+
+
+def test_obstructions_match_reference():
+    for spec in ALL_INSTANCES + random_instances(200):
+        g = graph_of(spec)
+        assert enumerate_obstructions(g) == oracle_obstructions(g), spec
+
+
+def test_obstructions_match_reference_on_hand_built_graphs():
+    # Arc words of hand-built graphs are not closed under rotation, so a
+    # class's witness can be a rotation that is no arc word at all.
+    found = 0
+    for g in random_hand_built_graphs(3000, seed=5):
+        want = oracle_obstructions(g)
+        assert enumerate_obstructions(g) == want, g.arcs
+        found += bool(want)
+    assert found > 100
 
 
 def test_split_blocks_matches_backtracking_reference():
