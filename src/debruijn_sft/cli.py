@@ -19,7 +19,7 @@ from pathlib import Path
 from .counting import count_eulerian_cycles, out_degree_factorials
 from .errors import DeBruijnError
 from .graph import DeBruijnGraph, build_graph, export_dot, graph_to_json
-from .language import Language, enumerate_words, parse_language_text
+from .language import Language, enumerate_ranks, enumerate_words, parse_language_text
 from .oracle import (
     DEFAULT_MAX_ARCS,
     certify_minimal_walk,
@@ -70,10 +70,11 @@ def _print_json(data: dict | list) -> None:
 
 def _cmd_words(args: argparse.Namespace) -> int:
     lang = _language(args)
-    words = enumerate_words(lang, args.span)
     if args.count_only:
-        print(len(words))
-    elif args.json:
+        print(len(enumerate_ranks(lang, args.span)))
+        return 0
+    words = enumerate_words(lang, args.span)
+    if args.json:
         _print_json([lang.alphabet.text(w) for w in words])
     else:
         for w in words:
@@ -160,6 +161,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.max_arcs < 1:
+        raise ValueError(f"--max-arcs must be at least 1, got {args.max_arcs}")
     g = _graph(args)
     if args.global_minimum:
         best = global_minimal_label(g, max_arcs=args.max_arcs)

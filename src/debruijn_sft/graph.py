@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
-from .language import Language, Alphabet, Word, enumerate_words, is_circular_word
+from .language import (
+    Alphabet, Language, Word, decode_ranks, enumerate_ranks, is_circular_word, span_digraph,
+)
 from .scc import largest_components
 
 
@@ -41,6 +46,24 @@ class DeBruijnGraph:
         return arc in self.out.get(arc.tail, ())
 
 
+def _assemble(
+    span: int, alphabet: Alphabet, language: Language | None,
+    out: dict[Word, tuple[Arc, ...]],
+) -> DeBruijnGraph:
+    """The graph whose out-arc table is `out`: every vertex in ascending
+    order, each with its out-arcs in ascending label order."""
+    vertices = tuple(out)
+    return DeBruijnGraph(
+        span=span,
+        alphabet=alphabet,
+        language=language,
+        vertices=vertices,
+        arcs=tuple(chain.from_iterable(out.values())),
+        out=out,
+        max_vertex=vertices[-1],
+    )
+
+
 def graph_from_arcs(
     span: int, alphabet: Alphabet, arcs: list[Arc] | tuple[Arc, ...],
     language: Language | None = None,
@@ -52,24 +75,15 @@ def graph_from_arcs(
     """
     if not arcs:
         raise EmptyGraphError("no arcs")
-    ordered = tuple(sorted(arcs))
+    ordered = sorted(arcs)
     for a, b in zip(ordered, ordered[1:]):
         if a.tail == b.tail and a.label == b.label:
             raise ValueError(f"vertex {a.tail} has two out-arcs with the same label")
     verts = {a.tail for a in ordered} | {a.head for a in ordered}
-    out: dict[Word, list[Arc]] = {v: [] for v in sorted(verts)}
-    for a in ordered:
-        out[a.tail].append(a)
-    vertices = tuple(out)
-    return DeBruijnGraph(
-        span=span,
-        alphabet=alphabet,
-        language=language,
-        vertices=vertices,
-        arcs=ordered,
-        out={v: tuple(lst) for v, lst in out.items()},
-        max_vertex=vertices[-1],
-    )
+    out: dict[Word, tuple[Arc, ...]] = dict.fromkeys(sorted(verts), ())
+    for tail, group in groupby(ordered, itemgetter(0)):
+        out[tail] = tuple(group)
+    return _assemble(span, alphabet, language, out)
 
 
 def build_graph(lang: Language, n: int) -> DeBruijnGraph:
@@ -78,6 +92,11 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     Raises EmptyGraphError when there are no words of length n+1 and
     AmbiguousComponentError when two components tie for the maximal arc
     count (the construction is only well defined with a unique winner).
+
+    Works on integer word ranks until the end: the component choice runs
+    on dense vertex ids, and tuples are made only for the kept graph, one
+    per vertex. Rank order is arc order and a rank cannot repeat, so the
+    arcs need neither a sort nor a duplicate check.
     """
     if n < 1:
         raise ValueError("span must be >= 1")
@@ -86,21 +105,27 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
             f"span {n} is shorter than the longest forbidden word minus one; "
             "arcs cannot see every constraint", stacklevel=2,
         )
-    words = enumerate_words(lang, n + 1)
-    if not words:
+    k = lang.alphabet.size
+    ranks = enumerate_ranks(lang, n + 1)
+    if not ranks:
         raise EmptyGraphError(f"no words of length {n + 1}")
-    vertex: dict[Word, Word] = {}
-    ends = []
-    for w in words:
-        tail, head = w[:n], w[1:]
-        ends.append((vertex.setdefault(tail, tail), vertex.setdefault(head, head)))
+    order, succ = span_digraph(ranks, k, n)
+    del ranks   # freed before the tuples are made
     # The n+1 rotations of a word are a closed walk, so some component
     # holds an arc and ties >= 1.
-    inside, ties, best = largest_components(ends)
+    inside, ties, best = largest_components(succ)
     if ties > 1:
         raise AmbiguousComponentError(f"{ties} strongly connected components tie at {best} arcs")
-    arcs = [Arc(t, w[n], h) for w, (t, h), keep in zip(words, ends, inside) if keep]
-    return graph_from_arcs(n, lang.alphabet, arcs, language=lang)
+    kept = [v for v, keep in enumerate(inside) if keep]
+    vertex = dict(zip(kept, decode_ranks([order[v] for v in kept], k, n)))
+    # Arc(...) runs a Python-level __new__; this makes the same tuple.
+    arc = partial(tuple.__new__, Arc)
+    # An arc's label is the last letter of its head.
+    out = {
+        tail: tuple([arc((tail, order[h] % k, vertex[h])) for h in succ[v] if inside[h]])
+        for v, tail in vertex.items()
+    }
+    return _assemble(n, lang.alphabet, lang, out)
 
 
 def arc_to_word(g: DeBruijnGraph, arc: Arc) -> Word:

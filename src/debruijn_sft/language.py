@@ -4,11 +4,15 @@ A word is a tuple of symbol ranks (ints), so plain tuple comparison gives
 the alphabetic order induced by the declared symbol order, never by
 codepoint. A word w of length n belongs to the language when the periodic
 repetition of w contains no forbidden factor, including across the seam.
+Enumeration works on word ranks: a word's rank is its value as a base-k
+number (k the alphabet size), so rank order is lexicographic order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import NotIrreducibleError
 from .scc import largest_components
@@ -87,62 +91,142 @@ def parse_language_text(text: str) -> Language:
     return Language.from_text(alphabet_text, forbidden)
 
 
-def _occurs(haystack: Word, needle: Word) -> bool:
-    k = len(needle)
-    return any(haystack[i : i + k] == needle for i in range(len(haystack) - k + 1))
+def _automaton(lang: Language) -> list[list[int]]:
+    """The Aho-Corasick goto table of the forbidden words.
+
+    State 0 is the empty prefix; row s gives, for each letter, the state
+    after it. A state is dead when it or a state on its failure chain ends
+    a forbidden word, that is when the letters read so far end with one;
+    every move into a dead state reads -1. Rows of dead states are never
+    read: no live state's failure chain passes through one.
+    """
+    k = lang.alphabet.size
+    goto = [[-1] * k]
+    ends = [False]   # the state spells a whole forbidden word
+    for f in sorted(lang.forbidden):
+        s = 0
+        for a in f:
+            if goto[s][a] < 0:
+                goto[s][a] = len(goto)
+                goto.append([-1] * k)
+                ends.append(False)
+            s = goto[s][a]
+        ends[s] = True
+    # Breadth-first, so a state's failure state has its final row before
+    # the state is reached; there -1 already marks a dead target.
+    fail = [0] * len(goto)
+    queue = [0]
+    for s in queue:
+        row, back = goto[s], goto[fail[s]]
+        for a in range(k):
+            t = row[a]
+            if t < 0:
+                row[a] = back[a] if s else 0
+            elif ends[t] or (s and back[a] < 0):
+                row[a] = -1
+            else:
+                fail[t] = back[a] if s else 0
+                queue.append(t)
+    return goto
 
 
 def is_circular_word(lang: Language, w: Word) -> bool:
     """True when no forbidden factor occurs in the periodic repetition of w.
 
-    Equivalent finite check: scan w extended by its own periodic
-    continuation up to length len(w) + max_forbidden_len - 1, so every
-    window that could straddle the seam is inspected exactly once.
+    Equivalent finite check: run the forbidden-word automaton over w and
+    its own periodic continuation up to length len(w) + max_forbidden_len
+    - 1, so every window that could straddle the seam is read exactly once.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no periodic repetition")
-    if not lang.forbidden:
-        return True
-    pad = lang.max_forbidden_len - 1
-    reps = -(-(len(w) + pad) // len(w))
-    ext = (w * reps)[: len(w) + pad]
-    return not any(_occurs(ext, f) for f in lang.forbidden)
+    goto = _automaton(lang)
+    s = 0
+    for i in range(len(w) + max(lang.max_forbidden_len - 1, 0)):
+        s = goto[s][w[i % len(w)]]
+        if s < 0:
+            return False
+    return True
 
 
-def enumerate_words(lang: Language, n: int) -> list[Word]:
-    """All circular words of length n, in lexicographic order.
+def enumerate_ranks(lang: Language, n: int) -> list[int]:
+    """The ranks of all circular words of length n, ascending.
 
-    Depth-first extension with forbidden-suffix pruning: a linear
-    occurrence of a forbidden factor already rules out every extension, so
-    whole subtrees are skipped. A full-length prefix is then extended by
-    its own periodic continuation for max_forbidden_len - 1 more letters
-    under the same suffix test, so the windows across the seam are checked
-    once, like every other window. A prefix is tested before it is pushed,
-    so the stack holds only live prefixes.
+    A word's rank is its base-k value (k the alphabet size), so rank order
+    is lexicographic order. Words grow letter by letter through the
+    forbidden-word automaton; prefixes that reach the same state have the
+    same futures, so they grow together as one list of ranks. The seam is
+    checked by reading on through the word's first max_forbidden_len - 1
+    letters, taken periodically. Those letters are fixed first, so each
+    group of prefixes shares them and the seam costs one pass per group.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    forbidden = sorted(lang.forbidden, key=len)
-    full = n + max(lang.max_forbidden_len - 1, 0)
-    letters = range(lang.alphabet.size - 1, -1, -1)
-    out: list[Word] = []
-    # Explicit stack, letters pushed in reverse so words pop in order.
-    stack: list[Word] = [()]
-    while stack:
-        prefix = stack.pop()
-        depth = len(prefix)
-        if depth == full:
-            out.append(prefix[:n])
-            continue
-        for s in letters if depth < n else (prefix[depth - n],):
-            child = prefix + (s,)
-            # A forbidden word longer than child cannot equal its suffix.
-            for f in forbidden:
-                if child[-len(f) :] == f:
+    k = lang.alphabet.size
+    goto = _automaton(lang)
+    pad = max(lang.max_forbidden_len - 1, 0)
+    fixed = min(pad, n)
+    # (rank, state, letters) of the live prefixes of length `fixed`
+    prefixes: list[tuple[int, int, Word]] = [(0, 0, ())]
+    for _ in range(fixed):
+        prefixes = [
+            (r * k + a, t, w + (a,))
+            for r, s, w in prefixes for a, t in enumerate(goto[s]) if t >= 0
+        ]
+    out: list[int] = []
+    for prefix, state, letters in prefixes:
+        groups = {state: [prefix]}
+        for _ in range(n - fixed):
+            grown: dict[int, list[int]] = {}
+            for s, ranks in groups.items():
+                for a, t in enumerate(goto[s]):
+                    if t < 0:
+                        continue
+                    children = [r * k + a for r in ranks]
+                    if t in grown:
+                        grown[t] += children
+                    else:
+                        grown[t] = children
+            groups = grown
+        seam = letters if pad <= n else (letters * (pad // n + 1))[:pad]
+        for s, ranks in groups.items():
+            for a in seam:
+                s = goto[s][a]
+                if s < 0:
                     break
             else:
-                stack.append(child)
+                out += ranks
+    out.sort()
     return out
+
+
+def decode_ranks(ranks: list[int], k: int, length: int) -> list[Word]:
+    """The words of the given length whose base-k values are `ranks`.
+
+    Each rank splits into a high and a low half; each distinct half is
+    decoded once, recursively, and the word is the two halves joined. So a
+    batch of words costs one split per word plus its distinct halves, and
+    one long word costs a linear number of letters per level.
+    """
+    if length <= 8:
+        words = []
+        for r in ranks:
+            letters = [0] * length
+            for i in range(length - 1, -1, -1):
+                r, letters[i] = divmod(r, k)
+            words.append(tuple(letters))
+        return words
+    low = length // 2
+    step = k ** low
+    his = list({r // step for r in ranks})
+    los = list({r % step for r in ranks})
+    hi_word = dict(zip(his, decode_ranks(his, k, length - low)))
+    lo_word = dict(zip(los, decode_ranks(los, k, low)))
+    return [hi_word[r // step] + lo_word[r % step] for r in ranks]
+
+
+def enumerate_words(lang: Language, n: int) -> list[Word]:
+    """All circular words of length n, in lexicographic order."""
+    return decode_ranks(enumerate_ranks(lang, n), lang.alphabet.size, n)
 
 
 def estimate_growth_rate(lang: Language, n_max: int) -> float:
@@ -155,10 +239,10 @@ def estimate_growth_rate(lang: Language, n_max: int) -> float:
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2 for a ratio")
-    prev = len(enumerate_words(lang, n_max - 1))
+    prev = len(enumerate_ranks(lang, n_max - 1))
     if prev == 0:
         raise NotIrreducibleError(f"no words of length {n_max - 1}; ratio undefined")
-    cur = len(enumerate_words(lang, n_max))
+    cur = len(enumerate_ranks(lang, n_max))
     if cur == 0:
         raise NotIrreducibleError(f"no words of length {n_max}; ratio undefined")
     return cur / prev
@@ -171,6 +255,25 @@ class IrreducibilityReport:
     excluded: tuple[Word, ...]
 
 
+def span_digraph(ranks: list[int], k: int, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The span-n digraph of the circular words of length n+1 with these
+    ranks (ascending): word c is the arc from vertex c // k to vertex
+    c % k**n, and its label, the head's last letter, is c % k.
+
+    Returns the vertex ranks, ascending, and for each vertex id (its place
+    in that list) the head ids of its arcs in label order. Tails come in
+    ascending order, and every head is a tail too (rotating a circular
+    word by one letter gives another), so the tails alone number the
+    vertices, and each vertex's arcs are one run of ranks.
+    """
+    arc_counts = Counter([c // k for c in ranks])   # by tail, ascending
+    order = list(arc_counts)
+    ids = dict(zip(order, range(len(order))))
+    size = k ** n
+    heads = iter([ids[c % size] for c in ranks])
+    return order, [tuple(islice(heads, m)) for m in arc_counts.values()]
+
+
 def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     """Graph-level irreducibility check at span n.
 
@@ -181,11 +284,17 @@ def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     """
     if n < 1:
         raise ValueError("span must be >= 1")
-    words = enumerate_words(lang, n + 1)
-    if not words:
+    ranks = enumerate_ranks(lang, n + 1)
+    if not ranks:
         return IrreducibilityReport(False, f"no words of length {n + 1}", ())
-    inside, ties, best = largest_components([(w[:n], w[1:]) for w in words])
-    excluded = tuple(w for w, keep in zip(words, inside) if not keep)
+    k = lang.alphabet.size
+    order, succ = span_digraph(ranks, k, n)
+    inside, ties, best = largest_components(succ)
+    outside = [
+        order[t] * k + order[h] % k
+        for t, heads in enumerate(succ) for h in heads if not (inside[t] and inside[h])
+    ]
+    excluded = tuple(decode_ranks(outside, k, n + 1))
     if ties > 1:
         return IrreducibilityReport(False, f"{ties} components tie at {best} arcs", excluded)
     if excluded:

@@ -1,4 +1,4 @@
-"""Strongly connected components (iterative Tarjan)."""
+"""Strongly connected components (iterative Tarjan on dense vertex ids)."""
 
 from __future__ import annotations
 
@@ -7,85 +7,112 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 V = TypeVar("V", bound=Hashable)
 
 
+def tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The SCCs of the digraph on vertices 0..len(succ)-1, where succ[v]
+    lists the heads of v's arcs.
+
+    Roots are tried in id order and successors in list order; components
+    come in Tarjan completion order (reverse topological), each listed in
+    the order its vertices leave the stack.
+    """
+    done = len(succ) + 1          # index of a vertex whose component is out
+    index = [0] * len(succ)       # preorder number from 1; 0 = unvisited
+    low = [0] * len(succ)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(len(succ)):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        # Explicit call stack: (vertex, iterator over its successors).
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                iw = index[w]
+                if not iw:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                # A vertex whose component is out reads `done`, above every
+                # preorder number, so only the stack can lower low[v].
+                if iw < low[v]:
+                    low[v] = iw
+            else:
+                work.pop()
+                lv = low[v]
+                if work:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                if lv == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
+    return components
+
+
 def strongly_connected_components(
     vertices: Sequence[V], successors: Callable[[V], Iterable[V]]
 ) -> list[list[V]]:
     """Return the SCCs of the digraph as lists of vertices.
 
     Deterministic for a fixed vertex order and successor order; components
-    are emitted in Tarjan completion order (reverse topological).
+    are emitted in Tarjan completion order (reverse topological). Vertices
+    reached from `vertices` count too. The vertices get dense ids in the
+    order they are met, and `tarjan` runs on those.
     """
-    index: dict[V, int] = {}
-    lowlink: dict[V, int] = {}
-    on_stack: set[V] = set()
-    stack: list[V] = []
-    components: list[list[V]] = []
-    counter = 0
-
-    for root in vertices:
-        if root in index:
-            continue
-        # Explicit call stack: (vertex, iterator over its successors).
-        work = [(root, iter(successors(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
+    ids: dict[V, int] = {}
+    names: list[V] = []
+    for v in vertices:
+        if v not in ids:
+            ids[v] = len(names)
+            names.append(v)
+    succ: list[list[int]] = []
+    for v in names:   # grows while it is read: new heads join the end
+        heads = []
+        for w in successors(v):
+            if w not in ids:
+                ids[w] = len(names)
+                names.append(w)
+            heads.append(ids[w])
+        succ.append(heads)
+    return [[names[i] for i in comp] for comp in tarjan(succ)]
 
 
-def largest_components(arcs: Sequence[tuple[V, V]]) -> tuple[list[bool], int, int]:
-    """Choose the main strongly connected component of the arcs (tail, head).
+def largest_components(succ: Sequence[Sequence[int]]) -> tuple[list[bool], int, int]:
+    """Choose the main strongly connected component of the digraph on
+    vertices 0..len(succ)-1, where succ[v] lists the heads of v's arcs.
 
     The main component is the first one (in Tarjan completion order)
-    holding the most internal arcs. Returns, for each arc in input order,
-    whether it lies inside that component, then the number of components
-    tied at that arc count (0 when no arc is internal), then the count.
+    holding the most internal arcs. Returns, for each vertex, whether it
+    lies in that component, then the number of components tied at that
+    arc count (0 when no arc is internal), then the count. An arc lies
+    inside the main component exactly when both its ends do.
     """
-    succ: dict[V, list[V]] = {}
-    verts: set[V] = set()
-    for tail, head in arcs:
-        verts.update((tail, head))
-        succ.setdefault(tail, []).append(head)
-    comps = strongly_connected_components(sorted(verts), lambda v: succ.get(v, ()))
-    comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
-    # Component of each arc, -1 for an arc between components.
-    arc_comp = [comp_id[t] if comp_id[t] == comp_id[h] else -1 for t, h in arcs]
+    comps = tarjan(succ)
+    comp_of = [0] * len(succ)
+    for c, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = c
     arc_count = [0] * len(comps)
-    for c in arc_comp:
-        if c >= 0:
-            arc_count[c] += 1
+    for v, heads in enumerate(succ):
+        c = comp_of[v]
+        for w in heads:
+            if comp_of[w] == c:
+                arc_count[c] += 1
     best = max(arc_count, default=0)
     if best == 0:
-        return [False] * len(arcs), 0, 0
+        return [False] * len(succ), 0, 0
     keep = arc_count.index(best)
-    return [c == keep for c in arc_comp], arc_count.count(best), best
+    return [c == keep for c in comp_of], arc_count.count(best), best

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 from debruijn_sft import (
     Alphabet,
@@ -198,6 +199,121 @@ def oracle_main_component(words: list[Word], n: int) -> set[Word]:
     if len(sizes) > 1 and sizes[0] == sizes[1]:
         raise AmbiguousComponentError(f"components tie at {sizes[0]} arcs")
     return max(inside.values(), key=len)
+
+
+def oracle_tarjan(vertices, successors) -> list[list]:
+    """Dict-based iterative Tarjan on hashable vertices: the reference for
+    `scc.strongly_connected_components`, components in completion order,
+    each in the order its vertices leave the stack."""
+    index: dict = {}
+    lowlink: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    components: list[list] = []
+    counter = 0
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, iter(successors(root)))]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(successors(w))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(comp)
+    return components
+
+
+def oracle_suffix_words(lang: Language, n: int) -> list[Word]:
+    """Tuple-prefix enumeration with a forbidden-suffix test at every
+    letter, the seam covered by max_forbidden_len - 1 more periodic
+    letters; depth-first, so words come out in lexicographic order."""
+    forbidden = sorted(lang.forbidden, key=len)
+    full = n + max(lang.max_forbidden_len - 1, 0)
+    letters = range(lang.alphabet.size - 1, -1, -1)
+    out: list[Word] = []
+    stack: list[Word] = [()]
+    while stack:
+        prefix = stack.pop()
+        depth = len(prefix)
+        if depth == full:
+            out.append(prefix[:n])
+            continue
+        for s in letters if depth < n else (prefix[depth - n],):
+            child = prefix + (s,)
+            if not any(child[-len(f):] == f for f in forbidden):
+                stack.append(child)
+    return out
+
+
+def oracle_build_graph(lang: Language, n: int) -> DeBruijnGraph:
+    """Reference for `build_graph` on tuples: suffix-test enumeration, the
+    main component by the dict-based Tarjan over sorted vertex tuples, and
+    arcs sorted as tuples. Raises and warns as `build_graph` does."""
+    if n < 1:
+        raise ValueError("span must be >= 1")
+    if n + 1 < lang.max_forbidden_len:
+        warnings.warn(
+            f"span {n} is shorter than the longest forbidden word minus one; "
+            "arcs cannot see every constraint", stacklevel=2,
+        )
+    words = oracle_suffix_words(lang, n + 1)
+    if not words:
+        raise EmptyGraphError(f"no words of length {n + 1}")
+    succ: dict[Word, list[Word]] = {}
+    for w in words:
+        succ.setdefault(w[:n], []).append(w[1:])
+    comps = oracle_tarjan(sorted(succ), lambda v: succ.get(v, ()))
+    comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
+    arc_count = [0] * len(comps)
+    for w in words:
+        if comp_id[w[:n]] == comp_id[w[1:]]:
+            arc_count[comp_id[w[:n]]] += 1
+    best = max(arc_count)
+    if arc_count.count(best) > 1:
+        raise AmbiguousComponentError(
+            f"{arc_count.count(best)} strongly connected components tie at {best} arcs")
+    keep = arc_count.index(best)
+    arcs = sorted(
+        Arc(w[:n], w[n], w[1:]) for w in words
+        if comp_id[w[:n]] == keep and comp_id[w[1:]] == keep
+    )
+    out: dict[Word, list[Arc]] = {v: [] for v in sorted({a.tail for a in arcs})}
+    for a in arcs:
+        out[a.tail].append(a)
+    vertices = tuple(out)
+    return DeBruijnGraph(
+        span=n, alphabet=lang.alphabet, language=lang, vertices=vertices,
+        arcs=tuple(arcs), out={v: tuple(lst) for v, lst in out.items()},
+        max_vertex=vertices[-1],
+    )
 
 
 def oracle_converging_trees(g: DeBruijnGraph, root: Word) -> int:

@@ -267,6 +267,14 @@ def test_oracle_long_circuit_needs_no_recursion(capsys):
     assert fields["oracle-label"] == fields["greedy-label"]
 
 
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_oracle_arc_bound_below_one_is_a_usage_error(capsys, bound):
+    code, out, err = run(capsys, "oracle", "--alphabet", "01", "--forbid", "1",
+                         "--span", "3", "--max-arcs", bound)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --max-arcs must be at least 1, got {bound}\n"
+
+
 def test_words_long_span_needs_no_recursion(capsys):
     # 1200 letters deep: one stack frame per letter would pass the
     # recursion limit.

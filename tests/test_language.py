@@ -13,6 +13,8 @@ from debruijn_sft import (
     parse_language_text,
 )
 
+from debruijn_sft.language import _automaton, decode_ranks, enumerate_ranks
+
 from corpus import oracle_is_circular, oracle_words, random_instances
 
 GOLDEN = Language.from_text("01", ("11",))
@@ -124,6 +126,30 @@ def test_enumeration_memory_stays_flat_on_a_thin_language():
         tracemalloc.stop()
     assert words == [(0,) * 2000]
     assert peak < 1_000_000
+
+
+def test_failure_link_marks_a_nested_forbidden_word_dead():
+    # 1, 0, 0 is a prefix of 1001, but it ends with the forbidden 00.
+    lang = Language.from_text("01", ("1001", "00"))
+    goto = _automaton(lang)
+    state = goto[goto[0][1]][0]
+    assert state >= 0
+    assert goto[state][0] == -1
+    for n in range(1, 8):
+        assert enumerate_words(lang, n) == oracle_words(lang, n)
+
+
+def test_ranks_are_base_k_values_in_lexicographic_order():
+    lang = Language.from_text("012", ("22", "010"))
+    words = enumerate_words(lang, 5)
+    ranks = enumerate_ranks(lang, 5)
+    assert ranks == [int("".join(map(str, w)), 3) for w in words]
+    assert decode_ranks(ranks, 3, 5) == words
+
+
+def test_long_words_decode_whole():
+    assert decode_ranks([3 ** 5000 - 1, 0, 5], 3, 5000) == [
+        (2,) * 5000, (0,) * 5000, (0,) * 4998 + (1, 2)]
 
 
 def test_unrestricted_counts_are_powers():

@@ -1,7 +1,8 @@
 """Property tests over random languages and random command lines.
 
 Enumeration, the main-component choice and the irreducibility check are
-compared with the brute-force oracles of `corpus`; the greedy-walk decision
+compared with the brute-force oracles of `corpus`, and the whole graph with
+the tuple-based build of `corpus.oracle_build_graph`; the greedy-walk decision
 is compared with the greedy walk itself at spans past the oracles' reach;
 the CLI is fed random flags and must answer every one with exit 0, 1 or 2.
 The module skips without hypothesis.
@@ -25,7 +26,7 @@ from debruijn_sft import (
 )
 from debruijn_sft.cli import main
 
-from corpus import oracle_main_component, oracle_words
+from corpus import oracle_build_graph, oracle_main_component, oracle_suffix_words, oracle_words
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -85,6 +86,51 @@ def test_irreducible_exactly_when_every_word_is_kept(lang, n):
     assert report.irreducible == (kept == set(words))
     if isinstance(kept, set):
         assert set(report.excluded) == set(words) - kept
+
+
+@st.composite
+def instances(draw):
+    """A language over 2-4 letters with a span, forbidden words up to 9
+    letters long, so some are longer than span + 1."""
+    alphabet, top = draw(st.sampled_from([("01", 8), ("012", 5), ("0123", 4)]))
+    forbidden = draw(st.lists(st.text(alphabet, min_size=1, max_size=9), max_size=4))
+    return Language.from_text(alphabet, forbidden), draw(st.integers(1, top))
+
+
+def build_outcome(build, lang, n):
+    """Every field of the graph, the out-arc table in order, or the error
+    raised; then the warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = build(lang, n)
+        except (EmptyGraphError, AmbiguousComponentError) as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (g.span, g.alphabet, g.language, g.vertices, g.arcs,
+                      list(g.out.items()), g.max_vertex)
+    return result, [str(w.message) for w in caught]
+
+
+# Only a failure link shows that 100 ends with the forbidden 00.
+@example((Language.from_text("01", ["1001", "00"]), 4))
+@example((Language.from_text("01", ["01111"]), 4))        # a stray component
+@example((Language.from_text("01", ["01", "10"]), 2))      # two tied loops
+@example((Language.from_text("012", ["0120120"]), 2))     # longer than n + 1
+@example((Language.from_text("0123", ["0", "1", "2", "3"]), 1))   # no words
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_build_graph_matches_tuple_oracle(instance):
+    lang, n = instance
+    assert build_outcome(build_graph, lang, n) == build_outcome(oracle_build_graph, lang, n)
+
+
+@example((Language.from_text("01", ["1001", "00"]), 6))
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_enumeration_matches_suffix_test_oracle(instance):
+    lang, n = instance
+    assert enumerate_words(lang, n + 1) == oracle_suffix_words(lang, n + 1)
 
 
 @st.composite

@@ -1,4 +1,10 @@
-from debruijn_sft.scc import largest_components, strongly_connected_components
+import random
+
+import pytest
+
+from debruijn_sft.scc import largest_components, strongly_connected_components, tarjan
+
+from corpus import oracle_tarjan
 
 
 def components(vertices, edges):
@@ -50,17 +56,68 @@ def test_long_cycle():
     assert len(comps[0]) == n
 
 
+def main_arcs(arcs):
+    """largest_components on the digraph of `arcs` (tail, head), read back
+    per arc: inside the main component when both ends are."""
+    succ = [[] for _ in range(1 + max(map(max, arcs)))]
+    for tail, head in arcs:
+        succ[tail].append(head)
+    inside, ties, best = largest_components(succ)
+    return [inside[t] and inside[h] for t, h in arcs], ties, best
+
+
 def test_largest_components_marks_the_arcs_of_the_main_component():
     # A 3-cycle, an arc out of it, and a self-loop beyond.
     arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3)]
-    assert largest_components(arcs) == ([True, True, True, False, False], 1, 3)
+    assert main_arcs(arcs) == ([True, True, True, False, False], 1, 3)
 
 
 def test_largest_components_tie_keeps_the_first_completed():
     # Two 2-cycles joined by an arc; Tarjan completes {2, 3} first.
     arcs = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]
-    assert largest_components(arcs) == ([False, False, False, True, True], 2, 2)
+    assert main_arcs(arcs) == ([False, False, False, True, True], 2, 2)
 
 
 def test_largest_components_without_internal_arcs():
-    assert largest_components([(0, 1), (1, 2)]) == ([False, False], 0, 0)
+    assert main_arcs([(0, 1), (1, 2)]) == ([False, False], 0, 0)
+
+
+def random_digraphs(count, seed=7):
+    """(vertex list, successor dict) pairs: string vertices, up to 25 of
+    them, any arcs including loops and repeats. The vertex list may repeat
+    a vertex or leave one out, so some are only reached through arcs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = [f"v{i}" for i in range(rng.randint(1, 25))]
+        succ = {v: [rng.choice(names) for _ in range(rng.randint(0, 3))] for v in names}
+        listed = rng.sample(names, rng.randint(1, len(names)))
+        yield listed + rng.choices(listed, k=rng.randint(0, 2)), succ
+
+
+def test_components_and_completion_order_match_dict_tarjan():
+    for vertices, succ in random_digraphs(300):
+        assert (strongly_connected_components(vertices, lambda v: succ[v])
+                == oracle_tarjan(vertices, lambda v: succ[v]))
+
+
+def test_tarjan_on_dense_ids_matches_dict_tarjan():
+    for _, succ in random_digraphs(300, seed=8):
+        ids = {v: i for i, v in enumerate(succ)}
+        dense = [[ids[w] for w in heads] for heads in succ.values()]
+        assert tarjan(dense) == oracle_tarjan(range(len(dense)), lambda v: dense[v])
+
+
+def test_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for vertices, succ in random_digraphs(300, seed=9):
+        reached, todo = set(vertices), list(vertices)
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+        g = nx.DiGraph()
+        g.add_nodes_from(reached)
+        g.add_edges_from((v, w) for v in reached for w in succ[v])
+        ours = {frozenset(c) for c in strongly_connected_components(vertices, lambda v: succ[v])}
+        assert ours == {frozenset(c) for c in nx.strongly_connected_components(g)}
