@@ -19,8 +19,10 @@ from .errors import (
 from .graph import (
     Arc,
     DeBruijnGraph,
+    IrreducibilityReport,
     arc_to_word,
     build_graph,
+    check_irreducible,
     export_dot,
     graph_from_arcs,
     graph_from_json,
@@ -30,10 +32,8 @@ from .graph import (
 )
 from .language import (
     Alphabet,
-    IrreducibilityReport,
     Language,
     Word,
-    check_irreducible,
     enumerate_words,
     estimate_growth_rate,
     is_circular_word,

@@ -1,5 +1,5 @@
 """De Bruijn graph of a given span, restricted to its largest strongly
-connected component.
+connected component, and the span-level irreducibility check.
 
 Vertices are length-n words, arcs come one-for-one from the circular words
 of length n+1: the word w yields the arc w[:n] -> w[1:] labeled w[n]. An
@@ -10,16 +10,15 @@ orderings (vertex list, arc list, per-vertex out-arcs) are deterministic.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
-from .language import (
-    Alphabet, Language, Word, decode_ranks, enumerate_ranks, is_circular_word, span_digraph,
-)
+from .language import Alphabet, Language, Word, decode_ranks, enumerate_ranks, is_circular_word
 from .scc import largest_components
 
 
@@ -86,6 +85,34 @@ def graph_from_arcs(
     return _assemble(span, alphabet, language, out)
 
 
+def _span_digraph(
+    lang: Language, n: int,
+) -> tuple[list[int], list[tuple[int, ...]], list[bool], int, int] | None:
+    """The raw span-n digraph of the language and its main component, or
+    None when there are no words of length n+1.
+
+    Word rank c is the arc from vertex c // k to vertex c % k**n, labeled
+    c % k. Tails come ascending and every head is a tail too (rotating a
+    circular word gives another), so the tails alone number the vertices
+    and each vertex's arcs are one run of ranks. Returns the vertex ranks,
+    the head ids of each vertex id's arcs in label order, and what
+    `largest_components` says of them. A word's n+1 rotations are a
+    closed walk, so some component holds an arc and the tie count is >= 1.
+    """
+    ranks = enumerate_ranks(lang, n + 1)
+    if not ranks:
+        return None
+    k = lang.alphabet.size
+    arc_counts = Counter([c // k for c in ranks])   # by tail, ascending
+    order = list(arc_counts)
+    ids = dict(zip(order, range(len(order))))
+    size = k ** n
+    heads = iter([ids[c % size] for c in ranks])
+    del ranks   # freed before the components are found
+    succ = [tuple(islice(heads, m)) for m in arc_counts.values()]
+    return (order, succ, *largest_components(succ))
+
+
 def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     """Build the span-n graph of the language.
 
@@ -105,17 +132,13 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
             f"span {n} is shorter than the longest forbidden word minus one; "
             "arcs cannot see every constraint", stacklevel=2,
         )
-    k = lang.alphabet.size
-    ranks = enumerate_ranks(lang, n + 1)
-    if not ranks:
+    found = _span_digraph(lang, n)
+    if found is None:
         raise EmptyGraphError(f"no words of length {n + 1}")
-    order, succ = span_digraph(ranks, k, n)
-    del ranks   # freed before the tuples are made
-    # The n+1 rotations of a word are a closed walk, so some component
-    # holds an arc and ties >= 1.
-    inside, ties, best = largest_components(succ)
+    order, succ, inside, ties, best = found
     if ties > 1:
         raise AmbiguousComponentError(f"{ties} strongly connected components tie at {best} arcs")
+    k = lang.alphabet.size
     kept = [v for v, keep in enumerate(inside) if keep]
     vertex = dict(zip(kept, decode_ranks([order[v] for v in kept], k, n)))
     # Arc(...) runs a Python-level __new__; this makes the same tuple.
@@ -126,6 +149,42 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
         for v, tail in vertex.items()
     }
     return _assemble(n, lang.alphabet, lang, out)
+
+
+@dataclass(frozen=True)
+class IrreducibilityReport:
+    irreducible: bool
+    reason: str
+    excluded: tuple[Word, ...]
+
+
+def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
+    """Graph-level irreducibility check at span n.
+
+    Passes when the raw span-n graph has a unique strongly connected
+    component holding at least one arc and every word of length n+1 maps
+    to an arc inside it. Never raises; failures come back with the words
+    that would be dropped.
+    """
+    if n < 1:
+        raise ValueError("span must be >= 1")
+    found = _span_digraph(lang, n)
+    if found is None:
+        return IrreducibilityReport(False, f"no words of length {n + 1}", ())
+    order, succ, inside, ties, best = found
+    k = lang.alphabet.size
+    outside = [
+        order[t] * k + order[h] % k
+        for t, heads in enumerate(succ) for h in heads if not (inside[t] and inside[h])
+    ]
+    excluded = tuple(decode_ranks(outside, k, n + 1))
+    if ties > 1:
+        return IrreducibilityReport(False, f"{ties} components tie at {best} arcs", excluded)
+    if excluded:
+        return IrreducibilityReport(
+            False, f"{len(excluded)} words fall outside the main component", excluded
+        )
+    return IrreducibilityReport(True, "unique component carries every word", ())
 
 
 def arc_to_word(g: DeBruijnGraph, arc: Arc) -> Word:
@@ -164,17 +223,23 @@ def walk_label_target(g: DeBruijnGraph, start: Word, w: Word) -> Word:
     return cur
 
 
+def _dot_quoted(text: str) -> str:
+    """A DOT string literal; backslash is escaped before the quote."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: DeBruijnGraph, highlight: Iterable[Arc] = ()) -> str:
     """Graphviz DOT text; arcs in `highlight` are drawn bold."""
     marked = set(highlight)
+    name = {v: _dot_quoted(g.alphabet.text(v)) for v in g.vertices}
     lines = [f"digraph span{g.span} {{"]
     for v in g.vertices:
-        lines.append(f'  "{g.alphabet.text(v)}";')
+        lines.append(f"  {name[v]};")
     for a in g.arcs:
-        attrs = f'label="{g.alphabet.symbols[a.label]}"'
+        attrs = f"label={_dot_quoted(g.alphabet.symbols[a.label])}"
         if a in marked:
             attrs += ", style=bold"
-        lines.append(f'  "{g.alphabet.text(a.tail)}" -> "{g.alphabet.text(a.head)}" [{attrs}];')
+        lines.append(f"  {name[a.tail]} -> {name[a.head]} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -196,9 +261,16 @@ def graph_to_json(g: DeBruijnGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> DeBruijnGraph:
-    alphabet = Alphabet(tuple(data["alphabet"]))
-    arcs = [
-        Arc(alphabet.word(d["tail"]), alphabet.rank(d["label"]), alphabet.word(d["head"]))
-        for d in data["arcs"]
-    ]
-    return graph_from_arcs(int(data["span"]), alphabet, arcs)
+    """Inverse of graph_to_json; malformed data raises ValueError."""
+    try:
+        alphabet = Alphabet(tuple(data["alphabet"]))
+        arcs = [
+            Arc(alphabet.word(d["tail"]), alphabet.rank(d["label"]), alphabet.word(d["head"]))
+            for d in data["arcs"]
+        ]
+        span = int(data["span"])
+    except KeyError as e:
+        raise ValueError(f"graph JSON lacks the field {e.args[0]!r}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed graph JSON: {e}") from None
+    return graph_from_arcs(span, alphabet, arcs)

@@ -10,12 +10,9 @@ number (k the alphabet size), so rank order is lexicographic order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import NotIrreducibleError
-from .scc import largest_components
 
 Word = tuple[int, ...]
 
@@ -139,6 +136,8 @@ def is_circular_word(lang: Language, w: Word) -> bool:
     """
     if len(w) == 0:
         raise ValueError("the empty word has no periodic repetition")
+    if any(not (0 <= r < lang.alphabet.size) for r in w):
+        raise ValueError(f"word {w} uses symbols outside the alphabet")
     goto = _automaton(lang)
     s = 0
     for i in range(len(w) + max(lang.max_forbidden_len - 1, 0)):
@@ -246,59 +245,3 @@ def estimate_growth_rate(lang: Language, n_max: int) -> float:
     if cur == 0:
         raise NotIrreducibleError(f"no words of length {n_max}; ratio undefined")
     return cur / prev
-
-
-@dataclass(frozen=True)
-class IrreducibilityReport:
-    irreducible: bool
-    reason: str
-    excluded: tuple[Word, ...]
-
-
-def span_digraph(ranks: list[int], k: int, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The span-n digraph of the circular words of length n+1 with these
-    ranks (ascending): word c is the arc from vertex c // k to vertex
-    c % k**n, and its label, the head's last letter, is c % k.
-
-    Returns the vertex ranks, ascending, and for each vertex id (its place
-    in that list) the head ids of its arcs in label order. Tails come in
-    ascending order, and every head is a tail too (rotating a circular
-    word by one letter gives another), so the tails alone number the
-    vertices, and each vertex's arcs are one run of ranks.
-    """
-    arc_counts = Counter([c // k for c in ranks])   # by tail, ascending
-    order = list(arc_counts)
-    ids = dict(zip(order, range(len(order))))
-    size = k ** n
-    heads = iter([ids[c % size] for c in ranks])
-    return order, [tuple(islice(heads, m)) for m in arc_counts.values()]
-
-
-def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
-    """Graph-level irreducibility check at span n.
-
-    Passes when the raw span-n graph has a unique strongly connected
-    component holding at least one arc and every word of length n+1 maps
-    to an arc inside it. Never raises; failures come back with the words
-    that would be dropped.
-    """
-    if n < 1:
-        raise ValueError("span must be >= 1")
-    ranks = enumerate_ranks(lang, n + 1)
-    if not ranks:
-        return IrreducibilityReport(False, f"no words of length {n + 1}", ())
-    k = lang.alphabet.size
-    order, succ = span_digraph(ranks, k, n)
-    inside, ties, best = largest_components(succ)
-    outside = [
-        order[t] * k + order[h] % k
-        for t, heads in enumerate(succ) for h in heads if not (inside[t] and inside[h])
-    ]
-    excluded = tuple(decode_ranks(outside, k, n + 1))
-    if ties > 1:
-        return IrreducibilityReport(False, f"{ties} components tie at {best} arcs", excluded)
-    if excluded:
-        return IrreducibilityReport(
-            False, f"{len(excluded)} words fall outside the main component", excluded
-        )
-    return IrreducibilityReport(True, "unique component carries every word", ())

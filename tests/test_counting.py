@@ -123,6 +123,20 @@ def test_tree_count_root_independent_on_balanced_graphs():
         assert len(counts) == 1, spec
 
 
+def test_tree_count_root_independent_at_scale():
+    # Golden mean span 14 (V=987): the same count at the first, middle and
+    # last vertex.
+    g = graph_of(("01", ("11",), 14))
+    assert len(g.vertices) == 987
+    roots = (g.vertices[0], g.vertices[len(g.vertices) // 2], g.vertices[-1])
+    assert len({count_converging_spanning_trees(g, root) for root in roots}) == 1
+    # Full binary span 10 (V=1,024): a non-maximal root gives the closed
+    # form k^(k^n - n - 1).
+    full = graph_of(("01", (), 10))
+    assert len(full.vertices) == 1024
+    assert count_converging_spanning_trees(full, full.vertices[1]) == 2 ** 1013
+
+
 def test_tree_count_invariant_under_vertex_permutation():
     import random
 

@@ -158,6 +158,9 @@ def test_arc_word_bijection():
         word_to_arc(g, a.word("110000"))
     with pytest.raises(ValueError):
         word_to_arc(g, a.word("01010"))
+    for w in ((0, 0, 0, 0, 0, 7), (0, 0, 0, 0, 0, -1)):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            word_to_arc(g, w)
     foreign = Arc(a.word("11111"), 0, a.word("11110"))
     with pytest.raises(ValueError):
         arc_to_word(g, foreign)
@@ -196,6 +199,23 @@ def test_export_dot():
     highlighted = export_dot(g, frozenset({g.arcs[0]}))
     assert highlighted.count("style=bold") == 1
     assert export_dot(g) == dot  # deterministic
+    full = build_graph(Language.from_text("01"), 1)
+    assert export_dot(full) == (
+        'digraph span1 {\n  "0";\n  "1";\n'
+        '  "0" -> "0" [label="0"];\n  "0" -> "1" [label="1"];\n'
+        '  "1" -> "0" [label="0"];\n  "1" -> "1" [label="1"];\n}\n'
+    )
+
+
+@pytest.mark.parametrize("symbol, quoted", [('"', '"\\""'), ("\\", '"\\\\"')])
+def test_export_dot_escapes_quotes_and_backslashes(symbol, quoted):
+    dot = export_dot(build_graph(Language.from_text(symbol + "0"), 1))
+    assert f"  {quoted};" in dot
+    assert f"  {quoted} -> {quoted} [label={quoted}];" in dot
+    assert '  "0" -> "0" [label="0"];' in dot
+    # Every quoted string closes on its own line.
+    for line in dot.splitlines()[1:-1]:
+        assert len(line.replace("\\\\", "").replace('\\"', "").split('"')) % 2 == 1, line
 
 
 def test_json_round_trip():
@@ -206,6 +226,22 @@ def test_json_round_trip():
     assert len(data["arcs"]) == 18
     rebuilt = graph_from_json(json.loads(json.dumps(data)))
     assert graph_to_json(rebuilt) == data
+
+
+def test_graph_from_json_rejects_malformed_data():
+    data = graph_to_json(golden5())
+    with pytest.raises(ValueError, match="'alphabet'"):
+        graph_from_json({})
+    for field in ("span", "arcs"):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            graph_from_json({k: v for k, v in data.items() if k != field})
+    for field in ("tail", "label", "head"):
+        arcs = [{k: v for k, v in d.items() if k != field} for d in data["arcs"]]
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            graph_from_json({**data, "arcs": arcs})
+    for bad in (None, {**data, "arcs": ["0"]}, {**data, "alphabet": None}):
+        with pytest.raises(ValueError, match="malformed graph JSON"):
+            graph_from_json(bad)
 
 
 def test_single_vertex_self_loop_language_is_accepted():

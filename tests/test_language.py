@@ -59,6 +59,13 @@ def test_is_circular_examples():
         is_circular_word(GOLDEN, ())
 
 
+@pytest.mark.parametrize("word", [(0, -1), (0, 5), (2,), (-1, 0, 0)])
+def test_is_circular_rejects_letters_outside_the_alphabet(word):
+    # A negative letter would read the automaton row from its end.
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        is_circular_word(GOLDEN, word)
+
+
 def test_is_circular_forbidden_longer_than_word():
     lang = Language.from_text("01", ("0110",))
     # 011 repeats to ...011011... which contains 0110 across the seam.
