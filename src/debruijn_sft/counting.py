@@ -3,16 +3,18 @@
 The circuit count factors as (number of spanning trees converging to a
 root) times the product over vertices of (out-degree - 1) factorial; the
 tree count is a determinant of the out-degree Laplacian with the root row
-and column removed. The determinant is one sparse elimination modulo a
-product of 61-bit primes large enough to pin the integer down (the Hadamard
-bound). Everything is exact integer arithmetic; counts grow doubly
-exponentially and must never pass through floats.
+and column removed, after forced arcs are contracted. The determinant is
+one sparse elimination modulo a product of 61-bit primes large enough to
+pin the integer down (the Hadamard bound, or the product of the diagonal
+for an M-matrix such as a Laplacian). Everything is exact integer
+arithmetic; counts grow doubly exponentially and must never pass through
+floats.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import factorial, gcd, isqrt, prod
+from math import factorial, gcd, isqrt
 
 from .errors import NotEulerianError
 from .graph import DeBruijnGraph
@@ -58,26 +60,71 @@ def _primes() -> Iterator[int]:
         i += 1
 
 
-def integer_determinant(matrix: list[list[int]]) -> int:
+def _sparse_rows(matrix: list[list[int]] | list[dict[int, int]]) -> list[dict[int, int]]:
+    """Each row as a {column: value} dict; dict rows are taken as they
+    are, since nothing writes to them. A list row must be as long as the
+    matrix, and a dict row may only name columns inside it."""
+    size = len(matrix)
+    rows = []
+    for row in matrix:
+        if isinstance(row, dict):
+            if row and not (min(row) >= 0 and max(row) < size):
+                raise ValueError("matrix is not square")
+            rows.append(row)
+        else:
+            if len(row) != size:
+                raise ValueError("matrix is not square")
+            rows.append({j: a for j, a in enumerate(row) if a})
+    return rows
+
+
+def _determinant_bound(rows: list[dict[int, int]]) -> int:
+    """An upper bound on |det|: the Hadamard bound, or the product of the
+    diagonal when that is smaller and the matrix is an M-matrix.
+
+    A Z-matrix (no positive entry off the diagonal) whose diagonal
+    dominates each row is an M-matrix, possibly singular, and for those
+    0 <= det <= the product of the diagonal (Hadamard-Fischer). Every
+    reduced Laplacian is one.
+    """
+    squares = 1                # |det| <= sqrt(product of squared row norms)
+    diagonal: int | None = 1   # None once a row breaks the M-matrix test
+    for i, row in enumerate(rows):
+        values = row.values()
+        squares *= sum([a * a for a in values])
+        if diagonal is not None:
+            d = row.get(i, 0)
+            total = sum(values)
+            # The absolute values sum to 2d - total exactly when d >= 0 and
+            # no entry off the diagonal is positive.
+            if total >= 0 and sum(map(abs, values)) == 2 * d - total:
+                diagonal *= d
+            else:
+                diagonal = None
+    hadamard = isqrt(squares)   # det is an integer
+    return hadamard if diagonal is None else min(hadamard, diagonal)
+
+
+def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
     """Determinant over the integers by sparse elimination modulo M.
 
-    M is a product of primes above twice the Hadamard bound H, so the
-    residue read in (-M/2, M/2] is the determinant itself, bit-exact for
-    arbitrarily large entries. Rows are kept as {column: value} dicts, and
-    rows with nothing in the pivot column are skipped. A pivot that shares
-    a factor with M (a chance of about one in 2**61 per prime and step)
-    retires those primes and restarts the elimination. A matrix that is
-    not square raises ValueError.
+    Rows are lists or {column: value} dicts. M is a product of primes
+    above twice a bound on |det| (`_determinant_bound`), so the residue
+    read in (-M/2, M/2] is the determinant itself, bit-exact for
+    arbitrarily large entries. Columns are eliminated in order; an index
+    from each column to the rows holding an entry there finds the pivot,
+    the sparsest such row, and the rows it must update. Rows stay in
+    place, so the sign comes from the pivot permutation. A pivot that
+    shares a factor with M (a chance of about one in 2**61 per prime and
+    step) retires those primes and restarts the elimination. A list row
+    of the wrong length, or a dict key outside range(size), raises
+    ValueError.
     """
     size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix is not square")
-    sparse = [{j: a for j, a in enumerate(row) if a} for row in matrix]
-    norms = prod(sum(a * a for a in row.values()) for row in sparse)
-    if not norms:
+    sparse = _sparse_rows(matrix)
+    bound = 2 * _determinant_bound(sparse)
+    if not bound:
         return 0
-    # |det| <= sqrt(norms), and the determinant is an integer.
-    bound = 2 * isqrt(norms)
     retired: set[int] = set()
     while True:
         primes: list[int] = []
@@ -89,35 +136,57 @@ def integer_determinant(matrix: list[list[int]]) -> int:
                 if modulus > bound:
                     break
         rows = [{j: a % modulus for j, a in row.items() if a % modulus} for row in sparse]
+        # holders[j]: the rows not yet used as pivots with an entry in column j.
+        holders: list[set[int]] = [set() for _ in range(size)]
+        for i, row in enumerate(rows):
+            for j in row:
+                holders[j].add(i)
+        # at[k] is the row in place k of the permuted order, where[i] the
+        # place of row i; pivot k goes to place k.
+        at = list(range(size))
+        where = list(range(size))
         det = 1
-        for k in range(size):
-            # The sparsest row with an entry in column k makes the least
-            # fill-in as pivot.
-            pick = min((i for i in range(k, size) if k in rows[i]),
-                       key=lambda i: len(rows[i]), default=None)
-            if pick is None:
+        for k, column in enumerate(holders):
+            if not column:
                 return 0
-            if pick != k:
-                rows[k], rows[pick] = rows[pick], rows[k]
-                det = -det
-            pivot_row = rows[k]
+            # The sparsest row makes the least fill-in as pivot.
+            pick = min(column, key=lambda i: len(rows[i]))
+            pivot_row = rows[pick]
             pivot = pivot_row.pop(k)
             if gcd(pivot, modulus) != 1:
                 retired.update(p for p in primes if pivot % p == 0)
                 break
+            place = where[pick]
+            if place != k:
+                other = at[k]
+                at[k], at[place] = pick, other
+                where[pick], where[other] = k, place
+                det = -det
             det = det * pivot % modulus
+            rows[pick] = {}   # a used pivot row is never read again
+            column.discard(pick)
+            for j in pivot_row:
+                holders[j].discard(pick)
             inverse = pow(pivot, -1, modulus)
             scaled = [(j, v * inverse % modulus) for j, v in pivot_row.items()]
-            for i in range(k + 1, size):
+            for i in column:
                 row = rows[i]
-                f = row.pop(k, 0)
-                if f:
-                    for j, v in scaled:
-                        x = (row.get(j, 0) - f * v) % modulus
+                f = row.pop(k)
+                for j, v in scaled:
+                    x = row.get(j)
+                    if x is None:
+                        x = -f * v % modulus
+                        if x:
+                            row[j] = x
+                            holders[j].add(i)
+                    else:
+                        x = (x - f * v) % modulus
                         if x:
                             row[j] = x
                         else:
-                            row.pop(j, None)
+                            del row[j]
+                            holders[j].discard(i)
+            column.clear()
         else:
             return det - modulus if det > modulus // 2 else det
 
@@ -125,24 +194,42 @@ def integer_determinant(matrix: list[list[int]]) -> int:
 def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
     """Number of spanning trees in which every vertex can reach the root.
 
-    Self-loops contribute to no spanning tree and cancel out of the
-    Laplacian; parallel arcs count with multiplicity.
+    Self-loops lie in no spanning tree and are left out; parallel arcs
+    count with multiplicity. A vertex other than the root with one arc
+    left uses it in every converging tree, so each chain of such forced
+    arcs is contracted into the vertex it ends at, and a forced chain that
+    closes on itself leaves no tree at all. The count is the determinant
+    of the contracted graph's reduced Laplacian, built as sparse rows.
     """
     if root not in g.out:
         raise ValueError(f"vertex {root} is not in the graph")
-    others = [v for v in g.vertices if v != root]
-    index = {v: i for i, v in enumerate(others)}
-    size = len(others)
-    lap = [[0] * size for _ in range(size)]
-    for a in g.arcs:
-        if a.tail == a.head:
-            continue
-        if a.tail != root:
-            i = index[a.tail]
-            lap[i][i] += 1
-            if a.head != root:
-                lap[i][index[a.head]] -= 1
-    return integer_determinant(lap)
+    heads = {v: [a.head for a in arcs if a.head != v] for v, arcs in g.out.items()}
+    # end[v]: the vertex at the end of v's forced chain, v itself when v
+    # is not forced; None while v is on the chain being followed.
+    end = {v: v for v, out in heads.items() if v == root or len(out) != 1}
+    index = {v: i for i, v in enumerate(v for v in end if v != root)}
+    for v in g.vertices:
+        chain = []
+        while v not in end:
+            end[v] = None
+            chain.append(v)
+            v = heads[v][0]
+        if end[v] is None:
+            return 0
+        for u in chain:
+            end[u] = end[v]
+    rows = []
+    for v, i in index.items():
+        row = {i: 0}
+        for h in heads[v]:
+            e = end[h]
+            if e != v:
+                row[i] += 1
+                j = index.get(e)   # None for the root
+                if j is not None:
+                    row[j] = row.get(j, 0) - 1
+        rows.append(row)
+    return integer_determinant(rows)
 
 
 def out_degree_factorials(g: DeBruijnGraph) -> int:

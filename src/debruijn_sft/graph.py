@@ -70,10 +70,21 @@ def graph_from_arcs(
     """Assemble a graph directly from arcs, without the SCC restriction.
 
     Useful for hand-built instances; out-arcs of one vertex must carry
-    distinct labels so label-greedy choices are unambiguous.
+    distinct labels so label-greedy choices are unambiguous. Tails and
+    heads must be words of length `span` and labels letters of the
+    alphabet; a head need not be the shift `tail[1:] + (label,)`.
     """
+    if span < 1:
+        raise ValueError("span must be >= 1")
     if not arcs:
         raise EmptyGraphError("no arcs")
+    letters = range(alphabet.size)
+    for a in arcs:
+        for w in (a.tail, a.head):
+            if len(w) != span or not all(x in letters for x in w):
+                raise ValueError(f"arc {a}: {w} is not a word of length {span} over the alphabet")
+        if a.label not in letters:
+            raise ValueError(f"arc {a}: label {a.label} is not a letter of the alphabet")
     ordered = sorted(arcs)
     for a, b in zip(ordered, ordered[1:]):
         if a.tail == b.tail and a.label == b.label:

@@ -1,5 +1,6 @@
 import random
-from math import factorial, isqrt
+import tracemalloc
+from math import factorial, isqrt, prod
 
 import pytest
 
@@ -19,10 +20,13 @@ from debruijn_sft import (
 from debruijn_sft.language import Alphabet
 
 from corpus import (
+    ALL_INSTANCES,
     IRREDUCIBLE_INSTANCES,
     graph_of,
     oracle_converging_trees,
     oracle_determinant,
+    random_hand_built_graphs,
+    random_instances,
     reduced_laplacian,
 )
 
@@ -55,7 +59,42 @@ def test_integer_determinant():
     assert got == -integer_determinant(big) or got == integer_determinant(big)
 
 
-@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [[1, 2], [3]]])
+def test_integer_determinant_takes_dict_rows():
+    rng = random.Random(5)
+    for n in range(10):
+        for high in (3, 2 ** 70):
+            m = [[rng.randint(-high, high) if rng.random() < 0.4 else 0 for _ in range(n)]
+                 for _ in range(n)]
+            rows = [{j: a for j, a in enumerate(row) if a} for row in m]
+            assert integer_determinant(rows) == integer_determinant(m) == oracle_determinant(m)
+    # Explicit zeros and mixed row kinds read the same; the input is not changed.
+    rows = [{0: 2, 1: 0}, [1, 3]]
+    assert integer_determinant(rows) == 6
+    assert rows == [{0: 2, 1: 0}, [1, 3]]
+
+
+def test_integer_determinant_keeps_the_hadamard_bound_off_m_matrices():
+    # The product of the diagonal bounds only M-matrices; here it is 1.
+    assert integer_determinant([[1, 2 ** 40], [2 ** 40, 1]]) == 1 - 2 ** 80
+    assert integer_determinant([[1, -2 ** 40], [-2 ** 40, 1]]) == 1 - 2 ** 80
+
+
+def test_integer_determinant_on_diagonally_dominant_z_matrices():
+    # M-matrices, where the product of the diagonal is the bound used.
+    rng = random.Random(9)
+    for n in range(1, 12):
+        for _ in range(4):
+            m = [[-rng.randint(0, 2 ** 30) if rng.random() < 0.5 else 0 for _ in range(n)]
+                 for _ in range(n)]
+            for i, row in enumerate(m):
+                row[i] = -sum(row) + row[i] + rng.choice((0, 0, 1, 2 ** 20))
+            det = integer_determinant(m)
+            assert det == oracle_determinant(m), m
+            assert 0 <= det <= prod(row[i] for i, row in enumerate(m))
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [[1, 2], [3]],
+                                    [{0: 1, 2: 1}, {1: 1}], [{-1: 1}], [{0: 1}, [0, 1, 0]]])
 def test_integer_determinant_rejects_non_square(matrix):
     with pytest.raises(ValueError, match="not square"):
         integer_determinant(matrix)
@@ -114,6 +153,63 @@ def test_tree_count_matches_brute_force():
         g = graph_of(spec)
         for root in g.vertices:
             assert count_converging_spanning_trees(g, root) == oracle_converging_trees(g, root), spec
+
+
+def test_tree_count_equals_the_uncontracted_laplacian_determinant():
+    # Past 100 vertices the Bareiss oracle is slow: there the uncontracted
+    # matrix of one root goes to integer_determinant, which the oracle
+    # tests check.
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES + random_instances(60)]
+    graphs += random_hand_built_graphs(300, seed=17)
+    for g in graphs:
+        small = len(g.vertices) <= 100
+        det = oracle_determinant if small else integer_determinant
+        for root in g.vertices[:6] if small else (g.max_vertex,):
+            others = [v for v in g.vertices if v != root]
+            trees = count_converging_spanning_trees(g, root)
+            assert trees == det(reduced_laplacian(g, others)), (g.arcs, root)
+            if prod(len(g.out_arcs(v)) for v in others) <= 4096:
+                assert trees == oracle_converging_trees(g, root), (g.arcs, root)
+
+
+def test_tree_count_contracts_forced_arcs():
+    ternary = Alphabet.from_text("012")
+    # 0 -> 1 -> 2 is forced all the way into the root 2: one tree.
+    chain = graph_from_arcs(1, ternary, [
+        Arc((0,), 1, (1,)), Arc((1,), 2, (2,)), Arc((2,), 0, (0,)), Arc((2,), 1, (1,)),
+    ])
+    assert count_converging_spanning_trees(chain, (2,)) == 1
+    # 1 and 2 are forced into each other and never reach the root 0.
+    cycle = graph_from_arcs(1, ternary, [
+        Arc((0,), 1, (1,)), Arc((1,), 2, (2,)), Arc((2,), 1, (1,)),
+    ])
+    assert count_converging_spanning_trees(cycle, (0,)) == 0
+    # A forced chain ending at a free vertex: 2 -> 1, and 1 chooses 0 or 2.
+    merged = graph_from_arcs(1, ternary, [
+        Arc((0,), 1, (1,)), Arc((1,), 0, (0,)), Arc((1,), 2, (2,)), Arc((2,), 1, (1,)),
+    ])
+    assert count_converging_spanning_trees(merged, (0,)) == 1
+    # The only arc of 1 is a self-loop: 1 reaches nothing.
+    stuck = graph_from_arcs(1, BINARY, [Arc((0,), 1, (1,)), Arc((1,), 1, (1,))])
+    assert count_converging_spanning_trees(stuck, (0,)) == 0
+    assert count_converging_spanning_trees(stuck, (1,)) == 1
+    for g, root in ((chain, (2,)), (cycle, (0,)), (merged, (0,)), (stuck, (0,))):
+        assert count_converging_spanning_trees(g, root) == oracle_converging_trees(g, root)
+
+
+def test_tree_count_memory_stays_sparse():
+    # Full binary span 10 (V=1,024): a dense V x V Laplacian alone peaks
+    # at about 10 MB.
+    full = graph_of(("01", (), 10))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trees = count_converging_spanning_trees(full, full.max_vertex)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert trees == 2 ** 1013
+    assert peak < 5_000_000
 
 
 def test_tree_count_root_independent_on_balanced_graphs():

@@ -267,6 +267,38 @@ def test_graph_from_arcs_rejects_duplicate_labels():
         graph_from_arcs(1, a, arcs)
 
 
+@pytest.mark.parametrize("arc, message", [
+    (Arc((0, 1), 1, (1, 1)), r"\(0, 1\) is not a word of length 1"),
+    (Arc((0,), 1, ()), r"\(\) is not a word of length 1"),
+    (Arc((2,), 1, (1,)), r"\(2,\) is not a word of length 1 over the alphabet"),
+    (Arc((0,), 1, (-1,)), r"\(-1,\) is not a word of length 1 over the alphabet"),
+    (Arc((0,), 2, (1,)), "label 2 is not a letter of the alphabet"),
+])
+def test_graph_from_arcs_rejects_malformed_arcs(arc, message):
+    binary = Language.from_text("01").alphabet
+    with pytest.raises(ValueError, match=message):
+        graph_from_arcs(1, binary, [Arc((1,), 0, (0,)), arc])
+
+
+def test_graph_from_arcs_checks_lengths_not_the_shift_rule():
+    binary = Language.from_text("01").alphabet
+    with pytest.raises(ValueError, match="span must be >= 1"):
+        graph_from_arcs(0, binary, [Arc((), 0, ())])
+    g = graph_from_arcs(2, binary, [Arc((0, 0), 1, (1, 0)), Arc((1, 0), 0, (0, 0))])
+    assert g.out[(0, 0)] == (Arc((0, 0), 1, (1, 0)),)
+
+
+def test_graph_from_json_rejects_a_wrong_span():
+    data = graph_to_json(golden5())
+    with pytest.raises(ValueError, match="is not a word of length 2"):
+        graph_from_json({**data, "span": 2})
+    with pytest.raises(ValueError, match="is not a word of length 5"):
+        graph_from_json({**data, "arcs": data["arcs"] + [{"tail": "10101", "label": "1", "head": "001"}]})
+    # The shift rule is not checked: a head may be any vertex-length word.
+    loaded = graph_from_json({**data, "arcs": data["arcs"] + [{"tail": "10101", "label": "1", "head": "00000"}]})
+    assert len(loaded.arcs) == len(data["arcs"]) + 1
+
+
 @pytest.mark.parametrize("spec", ALL_INSTANCES, ids=str)
 def test_graph_from_arcs_sorts_any_arc_order(spec):
     g = graph_of(spec)
