@@ -2,19 +2,20 @@
 
 The circuit count factors as (number of spanning trees converging to a
 root) times the product over vertices of (out-degree - 1) factorial; the
-tree count is a determinant of the out-degree Laplacian with the root row
-and column removed, after forced arcs are contracted. The determinant is
-one sparse elimination modulo a product of 61-bit primes large enough to
-pin the integer down (the Hadamard bound, or the product of the diagonal
-for an M-matrix such as a Laplacian). Everything is exact integer
-arithmetic; counts grow doubly exponentially and must never pass through
-floats.
+tree count is the determinant of the out-degree Laplacian with the root
+row and column removed. The determinant is one sparse elimination modulo
+a product of 61-bit primes large enough to pin the integer down: the
+product of the diagonal for an M-matrix such as a Laplacian, the
+Hadamard bound for any other matrix. Updates are stored unreduced, and
+each column is reduced only when it is eliminated. Everything is exact
+integer arithmetic; counts grow doubly exponentially and must never pass
+through floats.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 
 from .errors import NotEulerianError
 from .graph import DeBruijnGraph
@@ -79,30 +80,28 @@ def _sparse_rows(matrix: list[list[int]] | list[dict[int, int]]) -> list[dict[in
 
 
 def _determinant_bound(rows: list[dict[int, int]]) -> int:
-    """An upper bound on |det|: the Hadamard bound, or the product of the
-    diagonal when that is smaller and the matrix is an M-matrix.
+    """An upper bound on |det|: the product of the diagonal for an
+    M-matrix, else the Hadamard bound.
 
     A Z-matrix (no positive entry off the diagonal) whose diagonal
     dominates each row is an M-matrix, possibly singular, and for those
     0 <= det <= the product of the diagonal (Hadamard-Fischer). Every
-    reduced Laplacian is one.
+    reduced Laplacian is one. Each row's norm is at least its diagonal
+    entry, so that product never exceeds the Hadamard bound.
     """
-    squares = 1                # |det| <= sqrt(product of squared row norms)
-    diagonal: int | None = 1   # None once a row breaks the M-matrix test
+    diagonal = 1
     for i, row in enumerate(rows):
         values = row.values()
-        squares *= sum([a * a for a in values])
-        if diagonal is not None:
-            d = row.get(i, 0)
-            total = sum(values)
-            # The absolute values sum to 2d - total exactly when d >= 0 and
-            # no entry off the diagonal is positive.
-            if total >= 0 and sum(map(abs, values)) == 2 * d - total:
-                diagonal *= d
-            else:
-                diagonal = None
-    hadamard = isqrt(squares)   # det is an integer
-    return hadamard if diagonal is None else min(hadamard, diagonal)
+        d = row.get(i, 0)
+        total = sum(values)
+        # The absolute values sum to 2d - total exactly when d >= 0 and
+        # no entry off the diagonal is positive.
+        if total >= 0 and sum(map(abs, values)) == 2 * d - total:
+            diagonal *= d
+        else:
+            # |det| <= sqrt(product of squared row norms), and det is an integer.
+            return isqrt(prod(sum([a * a for a in row.values()]) for row in rows))
+    return diagonal
 
 
 def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
@@ -113,12 +112,14 @@ def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
     read in (-M/2, M/2] is the determinant itself, bit-exact for
     arbitrarily large entries. Columns are eliminated in order; an index
     from each column to the rows holding an entry there finds the pivot,
-    the sparsest such row, and the rows it must update. Rows stay in
-    place, so the sign comes from the pivot permutation. A pivot that
-    shares a factor with M (a chance of about one in 2**61 per prime and
-    step) retires those primes and restarts the elimination. A list row
-    of the wrong length, or a dict key outside range(size), raises
-    ValueError.
+    the sparsest such row, and the rows it must update. Updates are
+    stored unreduced. A column's entries are reduced mod M when it comes
+    up, and those that vanish are dropped; the pivot row is reduced once,
+    when it is scaled. Rows stay in place, so the sign comes from the
+    pivot permutation. A pivot that shares a factor
+    with M (a chance of about one in 2**61 per prime and step) retires
+    those primes and restarts the elimination. A list row of the wrong
+    length, or a dict key outside range(size), raises ValueError.
     """
     size = len(matrix)
     sparse = _sparse_rows(matrix)
@@ -135,7 +136,7 @@ def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
                 modulus *= p
                 if modulus > bound:
                     break
-        rows = [{j: a % modulus for j, a in row.items() if a % modulus} for row in sparse]
+        rows = [dict(row) for row in sparse]
         # holders[j]: the rows not yet used as pivots with an entry in column j.
         holders: list[set[int]] = [set() for _ in range(size)]
         for i, row in enumerate(rows):
@@ -147,6 +148,14 @@ def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
         where = list(range(size))
         det = 1
         for k, column in enumerate(holders):
+            for i in list(column):
+                row = rows[i]
+                x = row[k] % modulus
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+                    column.discard(i)
             if not column:
                 return 0
             # The sparsest row makes the least fill-in as pivot.
@@ -168,24 +177,17 @@ def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
             for j in pivot_row:
                 holders[j].discard(pick)
             inverse = pow(pivot, -1, modulus)
-            scaled = [(j, v * inverse % modulus) for j, v in pivot_row.items()]
+            scaled = [(j, s) for j, v in pivot_row.items() if (s := v * inverse % modulus)]
             for i in column:
                 row = rows[i]
                 f = row.pop(k)
                 for j, v in scaled:
                     x = row.get(j)
                     if x is None:
-                        x = -f * v % modulus
-                        if x:
-                            row[j] = x
-                            holders[j].add(i)
+                        row[j] = -f * v
+                        holders[j].add(i)
                     else:
-                        x = (x - f * v) % modulus
-                        if x:
-                            row[j] = x
-                        else:
-                            del row[j]
-                            holders[j].discard(i)
+                        row[j] = x - f * v
             column.clear()
         else:
             return det - modulus if det > modulus // 2 else det
@@ -194,38 +196,22 @@ def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
 def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
     """Number of spanning trees in which every vertex can reach the root.
 
-    Self-loops lie in no spanning tree and are left out; parallel arcs
-    count with multiplicity. A vertex other than the root with one arc
-    left uses it in every converging tree, so each chain of such forced
-    arcs is contracted into the vertex it ends at, and a forced chain that
-    closes on itself leaves no tree at all. The count is the determinant
-    of the contracted graph's reduced Laplacian, built as sparse rows.
+    The count is the determinant of the reduced Laplacian (out-degrees
+    on the diagonal, the root's row and column removed), built as sparse
+    rows. Self-loops lie in no spanning tree and are left out; parallel
+    arcs count with multiplicity.
     """
     if root not in g.out:
         raise ValueError(f"vertex {root} is not in the graph")
-    heads = {v: [a.head for a in arcs if a.head != v] for v, arcs in g.out.items()}
-    # end[v]: the vertex at the end of v's forced chain, v itself when v
-    # is not forced; None while v is on the chain being followed.
-    end = {v: v for v, out in heads.items() if v == root or len(out) != 1}
-    index = {v: i for i, v in enumerate(v for v in end if v != root)}
-    for v in g.vertices:
-        chain = []
-        while v not in end:
-            end[v] = None
-            chain.append(v)
-            v = heads[v][0]
-        if end[v] is None:
-            return 0
-        for u in chain:
-            end[u] = end[v]
+    index = {v: i for i, v in enumerate(v for v in g.out if v != root)}
     rows = []
     for v, i in index.items():
         row = {i: 0}
-        for h in heads[v]:
-            e = end[h]
-            if e != v:
+        for a in g.out[v]:
+            h = a.head
+            if h != v:
                 row[i] += 1
-                j = index.get(e)   # None for the root
+                j = index.get(h)   # None for the root
                 if j is not None:
                     row[j] = row.get(j, 0) - 1
         rows.append(row)

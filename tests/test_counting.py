@@ -22,7 +22,9 @@ from debruijn_sft.language import Alphabet
 from corpus import (
     ALL_INSTANCES,
     IRREDUCIBLE_INSTANCES,
+    MERSENNE_61,
     graph_of,
+    modular_tree_count,
     oracle_converging_trees,
     oracle_determinant,
     random_hand_built_graphs,
@@ -52,6 +54,9 @@ def test_integer_determinant():
     assert integer_determinant([[0, 1], [1, 0]]) == -1
     assert integer_determinant([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
     assert integer_determinant([[1, 2], [2, 4]]) == 0
+    # Updates that cancel to exactly 0: one entry, then all of column 1.
+    for m, det in (([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1), ([[1, 1, 1], [1, 1, 2], [1, 1, 3]], 0)):
+        assert integer_determinant(m) == oracle_determinant(m) == det
     # Exactness at sizes where floats would drift.
     big = [[(i * j + 1) ** 3 for j in range(8)] for i in range(8)]
     perm = [big[i] for i in (3, 1, 0, 7, 6, 2, 5, 4)]
@@ -77,6 +82,14 @@ def test_integer_determinant_keeps_the_hadamard_bound_off_m_matrices():
     # The product of the diagonal bounds only M-matrices; here it is 1.
     assert integer_determinant([[1, 2 ** 40], [2 ** 40, 1]]) == 1 - 2 ** 80
     assert integer_determinant([[1, -2 ** 40], [-2 ** 40, 1]]) == 1 - 2 ** 80
+
+
+def test_determinant_bound_of_a_reduced_laplacian_is_its_diagonal():
+    for spec in ALL_INSTANCES + random_instances(60):
+        rows = [{j: a for j, a in enumerate(row) if a} for row in graph_laplacian(graph_of(spec))]
+        diagonal = prod(row.get(i, 0) for i, row in enumerate(rows))
+        hadamard = isqrt(prod(sum(a * a for a in row.values()) for row in rows))
+        assert counting._determinant_bound(rows) == diagonal <= hadamard, spec
 
 
 def test_integer_determinant_on_diagonally_dominant_z_matrices():
@@ -134,6 +147,19 @@ def test_integer_determinant_retries_when_a_pivot_shares_a_prime(monkeypatch):
     matrices = [graph_laplacian(graph_of(spec)) for spec in IRREDUCIBLE_INSTANCES[:12]]
     matrices += [[[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
                  for n in range(1, 9) for _ in range(5)]
+    # Sparse Z-matrices shaped like reduced Laplacians: row i has 1 or 2
+    # arcs, each to another row or to the root (column n). The product of
+    # the diagonal is tiny, so M is a product of a few small primes and
+    # unreduced entries that are 0 mod M, whole columns of them, are common.
+    for n in range(1, 9):
+        for _ in range(5):
+            m = [[0] * n for _ in range(n)]
+            for i, row in enumerate(m):
+                row[i] = rng.choice((1, 1, 2))
+                for j in rng.choices(range(n + 1), k=row[i]):
+                    if j != i and j < n:
+                        row[j] -= 1
+            matrices.append(m)
     attempts.clear()
     for m in matrices:
         assert integer_determinant(m) == oracle_determinant(m), m
@@ -172,7 +198,7 @@ def test_tree_count_equals_the_uncontracted_laplacian_determinant():
                 assert trees == oracle_converging_trees(g, root), (g.arcs, root)
 
 
-def test_tree_count_contracts_forced_arcs():
+def test_tree_count_on_forced_chains_and_cycles():
     ternary = Alphabet.from_text("012")
     # 0 -> 1 -> 2 is forced all the way into the root 2: one tree.
     chain = graph_from_arcs(1, ternary, [
@@ -195,6 +221,22 @@ def test_tree_count_contracts_forced_arcs():
     assert count_converging_spanning_trees(stuck, (1,)) == 1
     for g, root in ((chain, (2,)), (cycle, (0,)), (merged, (0,)), (stuck, (0,))):
         assert count_converging_spanning_trees(g, root) == oracle_converging_trees(g, root)
+
+
+def test_tree_count_agrees_mod_p_with_a_separate_elimination_at_two_roots():
+    # Independent of counting past the reach of the Bareiss oracle: a
+    # GF(2**61 - 1) elimination at two roots against the exact count.
+    for spec in (("01", ("11",), 16), ("01", (), 11), ("01", ("01111",), 12)):
+        g = graph_of(spec)
+        trees = count_converging_spanning_trees(g, g.max_vertex) % MERSENNE_61
+        for root in (g.max_vertex, g.vertices[0]):
+            assert modular_tree_count(g, root) == trees, (spec, root)
+    for spec in ALL_INSTANCES:
+        g = graph_of(spec)
+        for root in g.vertices[:3]:
+            others = [v for v in g.vertices if v != root]
+            det = oracle_determinant(reduced_laplacian(g, others))
+            assert modular_tree_count(g, root) == det % MERSENNE_61, (spec, root)
 
 
 def test_tree_count_memory_stays_sparse():
