@@ -12,11 +12,15 @@ the trailing letter of any block always leaves the language. The decision
 procedure computes both criteria and insists they agree.
 
 Per-vertex data, with m the maximal vertex:
-  overlap(u)      longest word that is a suffix of u and a prefix of m
+  overlap(u)      longest suffix of u that is a proper prefix of m; its length
+                  is the state of the package's automaton of the word m after u
   overlap_next(u) the letter of m right after that prefix
   max_label(u)    label of u's maximum out-arc
   floor           overlap(u) is empty
   restricted      max_label(u) < overlap_next(u)
+
+The max-arc cycles come from one pass that stamps each vertex with the walk
+that first reached it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Mapping
 
 from .errors import TheoremViolationError
 from .graph import Arc, DeBruijnGraph
-from .language import Word
+from .language import Language, Word, _automaton
 from .walks import AvoidSet, exhaustion_order, minimal_walk, walk_avoiding
 
 
@@ -89,39 +93,33 @@ class VerificationReport:
         return not self.violations
 
 
-def _longest_overlap(u: Word, m: Word) -> Word:
-    # Longest proper borrowing: suffix of u that is a prefix of m, length < n.
-    n = len(m)
-    for k in range(n - 1, 0, -1):
-        if u[n - k :] == m[:k]:
-            return m[:k]
-    return ()
-
-
 def _functional_cycles(
     vertices: tuple[Word, ...], exit_arc: Mapping[Word, Arc]
 ) -> list[list[Word]]:
     """Cycles of the functional graph v -> exit_arc[v].head, each in walk
-    order; vertices without an exit arc end their paths."""
-    done: set[Word] = set()
+    order; vertices without an exit arc end their paths. A walk that stops
+    on a vertex it stamped itself has closed a cycle."""
+    start: dict[Word, int] = {}
     cycles: list[list[Word]] = []
-    for v in vertices:
+    for i, v in enumerate(vertices):
         path: list[Word] = []
-        pos: dict[Word, int] = {}
         cur: Word | None = v
-        while cur is not None and cur not in done and cur not in pos:
-            pos[cur] = len(path)
+        while cur is not None and cur not in start:
+            start[cur] = i
             path.append(cur)
             arc = exit_arc.get(cur)
             cur = None if arc is None else arc.head
-        if cur is not None and cur in pos:
-            cycles.append(path[pos[cur] :])
-        done.update(path)
+        if cur is not None and start[cur] == i:
+            cycles.append(path[path.index(cur) :])
     return cycles
 
 
 def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
     root = g.max_vertex
+    # On one word the automaton is the Knuth-Morris-Pratt matcher of m; only
+    # u == m would reach its dead state.
+    goto = _automaton(Language(g.alphabet, frozenset({root})))
+    prefixes = [root[:s] for s in range(len(root))]
     max_arc: dict[Word, Arc] = {}
     overlap: dict[Word, Word] = {}
     overlap_next: dict[Word, int] = {}
@@ -134,9 +132,11 @@ def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
             raise ValueError(f"vertex {v} has no out-arc; graph is not analyzable")
         max_arc[v] = arcs[-1]
         max_label[v] = arcs[-1].label
-        ov = _longest_overlap(v, root)
-        overlap[v] = ov
-        overlap_next[v] = root[len(ov)]
+        s = 0
+        for a in v:
+            s = goto[s][a]
+        overlap[v] = prefixes[s]
+        overlap_next[v] = root[s]
     floor = frozenset(v for v, ov in overlap.items() if not ov)
     restricted = frozenset(v for v in max_arc if max_label[v] < overlap_next[v])
 
@@ -469,14 +469,12 @@ def verify_greedy_decision(decision: Decision) -> VerificationReport:
             checks += 1
             if not divides or u + (t.max_label[u],) not in obstruction_words:
                 violations.append(f"cycle word for {u} missing from obstructions")
-    tree_arcs = set(t.max_arc.values())
     for o in decision.obstructions:
         w = o.word
         for r in range(len(w)):
             rot = w[r:] + w[:r]
             checks += 1
-            arc = Arc(rot[:-1], rot[-1], rot[1:])
-            if arc not in tree_arcs:
+            if t.max_arc.get(rot[:-1]) != (rot[:-1], rot[-1], rot[1:]):
                 violations.append(
                     f"obstruction {w}: rotation {rot} is not a max-arc of the graph"
                 )

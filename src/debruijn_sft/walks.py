@@ -151,11 +151,6 @@ def exhaustion_order(walk: Walk, g: DeBruijnGraph) -> dict[Word, int]:
     A vertex is exhausted once every arc touching it (as head or tail)
     has been used; vertices never exhausted are absent from the map.
     """
-    cur = walk.start
-    for a in walk.steps:
-        if a not in g or a.tail != cur:
-            raise ValueError("walk does not chain through arcs of this graph")
-        cur = a.head
     remaining: dict[Word, int] = {v: 0 for v in g.vertices}
     for a in g.arcs:
         remaining[a.tail] += 1
@@ -163,7 +158,11 @@ def exhaustion_order(walk: Walk, g: DeBruijnGraph) -> dict[Word, int]:
             remaining[a.head] += 1
     order = {v: 0 for v in g.vertices if remaining[v] == 0}
     seen: set[Arc] = set()
+    cur = walk.start
     for k, a in enumerate(walk.steps, start=1):
+        if a not in g or a.tail != cur:
+            raise ValueError("walk does not chain through arcs of this graph")
+        cur = a.head
         if a in seen:
             continue
         seen.add(a)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
+from typing import Mapping
 
 from debruijn_sft import (
     Alphabet,
@@ -446,6 +447,38 @@ def oracle_determinant(matrix: list[list[int]]) -> int:
 def cyclic_windows(label: Word, width: int) -> list[Word]:
     doubled = label + label
     return sorted(doubled[i : i + width] for i in range(len(label)))
+
+
+def oracle_longest_overlap(u: Word, m: Word) -> Word:
+    """Slice-search reference for the overlaps of structure.analyze_max_arcs."""
+    # Longest proper borrowing: suffix of u that is a prefix of m, length < n.
+    n = len(m)
+    for k in range(n - 1, 0, -1):
+        if u[n - k :] == m[:k]:
+            return m[:k]
+    return ()
+
+
+def oracle_functional_cycles(
+    vertices: tuple[Word, ...], exit_arc: Mapping[Word, Arc]
+) -> list[list[Word]]:
+    """Reference for structure._functional_cycles: a position dict per start
+    and a set of finished vertices."""
+    done: set[Word] = set()
+    cycles: list[list[Word]] = []
+    for v in vertices:
+        path: list[Word] = []
+        pos: dict[Word, int] = {}
+        cur: Word | None = v
+        while cur is not None and cur not in done and cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            arc = exit_arc.get(cur)
+            cur = None if arc is None else arc.head
+        if cur is not None and cur in pos:
+            cycles.append(path[pos[cur] :])
+        done.update(path)
+    return cycles
 
 
 def oracle_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationReport:

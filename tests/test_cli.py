@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -112,6 +113,22 @@ def test_check_json_round_trip(capsys):
     data = json.loads(out)
     assert data["decision"]["answer"] is False
     assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--alphabet", "01", "--forbid", "11", "--span", "12"),
+     "872377c82ed15571a0f0e468d55b30106b00bd06c84ac98411cd2396720f9d62"),
+    (("--alphabet", "01", "--span", "8"),
+     "c1c92c71dc6566802623df3c45229254a0ac3434c2c63e28221177c0dee73672"),
+    (("--alphabet", "012", "--forbid", "22", "--span", "5"),
+     "683ddb387de2c6df8e1c841df98fbcfee431cef31aee36d7de664ad3a79bc2e4"),
+])
+def test_check_json_bytes_pinned(capsys, argv, digest):
+    # Pins the per-vertex overlap, overlapNext, floor and restricted fields,
+    # which plain `check` does not print.
+    code, out, _ = run(capsys, "check", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_count(capsys):

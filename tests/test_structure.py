@@ -3,7 +3,9 @@ import random
 import pytest
 
 from debruijn_sft import (
+    AmbiguousComponentError,
     AvoidSet,
+    EmptyGraphError,
     Language,
     analysis_to_json,
     analyze_max_arcs,
@@ -29,6 +31,8 @@ from corpus import (
     avoid_sets,
     graph_of,
     oracle_exhaustion_order,
+    oracle_functional_cycles,
+    oracle_longest_overlap,
     oracle_obstructions,
     oracle_split_blocks,
     random_hand_built_graphs,
@@ -113,9 +117,10 @@ def test_tree_arc_count_invariant():
             assert arc == g.out_arcs(v)[-1]
 
 
-def all_reports(g):
-    decision = decide_minimal_is_eulerian(g)
+def all_reports(decision):
+    """The reports `verify` prints, for a decided graph."""
     t = decision.analysis
+    g = t.graph
     reports = [
         verify_exhaustion_order(g, t.avoid_set()),
         verify_label_monotonicity(t),
@@ -130,14 +135,84 @@ def all_reports(g):
 
 def test_verifiers_zero_violations_on_corpus():
     for spec in ALL_INSTANCES:
-        for report in all_reports(graph_of(spec)):
+        for report in all_reports(decide_minimal_is_eulerian(graph_of(spec))):
             assert report.ok, (spec, report)
 
 
 def test_verifiers_zero_violations_on_random_corpus():
     for spec in random_instances(20):
-        for report in all_reports(graph_of(spec)):
+        for report in all_reports(decide_minimal_is_eulerian(graph_of(spec))):
             assert report.ok, (spec, report)
+
+
+def random_languages(rng, alphabet, count):
+    """`count` languages over `alphabet`, each forbidding 1-4 random words
+    of length 2-5."""
+    return [
+        Language.from_text(alphabet, [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 5)))
+            for _ in range(rng.randint(1, 4))
+        ])
+        for _ in range(count)
+    ]
+
+
+def test_decision_and_verifiers_at_scale():
+    # Past the spans of the other random corpora: binary spans 13-16 and
+    # ternary spans 8-10, up to tens of thousands of vertices.
+    rng = random.Random(20261018)
+    cases = [(lang, rng.randint(13, 16)) for lang in random_languages(rng, "01", 16)]
+    cases += [(lang, rng.randint(8, 10)) for lang in random_languages(rng, "012", 8)]
+    decided = 0
+    for lang, n in cases:
+        try:
+            g = build_graph(lang, n)
+        except (EmptyGraphError, AmbiguousComponentError):
+            continue
+        decision = decide_minimal_is_eulerian(g)
+        assert decision.answer == minimal_walk(g).is_eulerian(g), (lang, n)
+        for report in all_reports(decision):
+            assert report.ok, (lang, n, report)
+        decided += 1
+    assert decided >= len(cases) // 2
+
+
+def analyzable(g):
+    return all(g.out_arcs(v) for v in g.vertices if v != g.max_vertex)
+
+
+def graphs_for_overlaps_and_cycles():
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES + random_instances(200)]
+    return graphs + [g for g in random_hand_built_graphs(3000, seed=7) if analyzable(g)]
+
+
+def test_overlaps_match_reference():
+    for g in graphs_for_overlaps_and_cycles():
+        t = analyze_max_arcs(g)
+        m = g.max_vertex
+        want = {v: oracle_longest_overlap(v, m) for v in g.vertices if v != m}
+        assert t.overlap == want, g.arcs
+        assert t.overlap_next == {v: m[len(ov)] for v, ov in want.items()}, g.arcs
+        assert t.floor == {v for v, ov in want.items() if not ov}, g.arcs
+        assert t.restricted == {
+            v for v, ov in want.items() if g.out_arcs(v)[-1].label < m[len(ov)]
+        }, g.arcs
+
+
+def test_functional_cycles_match_reference():
+    rng = random.Random(7)
+    cycles = 0
+    for g in graphs_for_overlaps_and_cycles():
+        # Random roots need every vertex to have an out-arc to reserve.
+        if all(g.out_arcs(v) for v in g.vertices):
+            exit_maps = avoid_sets(g, rng)
+        else:
+            exit_maps = [analyze_max_arcs(g).avoid_set()]
+        for avoid in exit_maps:
+            got = structure._functional_cycles(g.vertices, avoid.arc_by_vertex)
+            assert got == oracle_functional_cycles(g.vertices, avoid.arc_by_vertex), g.arcs
+            cycles += len(got)
+    assert cycles > 1000
 
 
 def test_exhaustion_order_matches_reference():

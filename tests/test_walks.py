@@ -259,6 +259,20 @@ def test_exhaustion_order_eulerian_covers_every_vertex():
     assert set(order) == set(g.vertices)
 
 
+def test_exhaustion_order_rejects_broken_walks():
+    g = build_graph(Language.from_text("01", ("11",)), 5)
+    steps = eulerian_cycle(g, g.max_vertex).steps
+    foreign = Arc(steps[-1].head, 1, steps[-1].head)   # label 1 after ...1 is forbidden
+    broken = [
+        Walk(steps[1].tail, steps),                 # first arc leaves another vertex
+        Walk(g.max_vertex, steps[:1] + steps[2:]),  # a gap after the first arc
+        Walk(g.max_vertex, steps + (foreign,)),     # last arc is not in the graph
+    ]
+    for walk in broken:
+        with pytest.raises(ValueError, match="does not chain"):
+            exhaustion_order(walk, g)
+
+
 def test_exhaustion_order_empty_walk():
     g = build_graph(Language.from_text("01"), 2)
     assert exhaustion_order(Walk(g.max_vertex, ()), g) == {}
