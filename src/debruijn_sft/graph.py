@@ -19,7 +19,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
 from .language import Alphabet, Language, Word, decode_ranks, enumerate_ranks, is_circular_word
-from .scc import largest_components
 
 
 class Arc(NamedTuple):
@@ -106,9 +105,12 @@ def _span_digraph(
     c % k. Tails come ascending and every head is a tail too (rotating a
     circular word gives another), so the tails alone number the vertices
     and each vertex's arcs are one run of ranks. Returns the vertex ranks,
-    the head ids of each vertex id's arcs in label order, and what
-    `largest_components` says of them. A word's n+1 rotations are a
-    closed walk, so some component holds an arc and the tie count is >= 1.
+    the head ids of each vertex id's arcs in label order, whether each
+    vertex lies in the main component, the number of components tied at
+    its arc count, and that count. A word's n+1 rotations are a closed
+    walk, so what a vertex reaches is its component: a search from each
+    unseen id in turn meets the components in Tarjan completion order, and
+    the main one is the first with the most arcs.
     """
     ranks = enumerate_ranks(lang, n + 1)
     if not ranks:
@@ -121,7 +123,21 @@ def _span_digraph(
     heads = iter([ids[c % size] for c in ranks])
     del ranks   # freed before the components are found
     succ = [tuple(islice(heads, m)) for m in arc_counts.values()]
-    return (order, succ, *largest_components(succ))
+    comp_of = [-1] * len(succ)
+    comp_arcs = []   # arc count per component, in the order met
+    for root in range(len(succ)):
+        if comp_of[root] < 0:
+            comp_of[root] = len(comp_arcs)
+            comp = [root]
+            for v in comp:   # grows while it is read
+                for w in succ[v]:
+                    if comp_of[w] < 0:
+                        comp_of[w] = len(comp_arcs)
+                        comp.append(w)
+            comp_arcs.append(sum([len(succ[v]) for v in comp]))
+    best = max(comp_arcs)
+    keep = comp_arcs.index(best)
+    return order, succ, [c == keep for c in comp_of], comp_arcs.count(best), best
 
 
 def build_graph(lang: Language, n: int) -> DeBruijnGraph:
@@ -133,8 +149,9 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
 
     Works on integer word ranks until the end: the component choice runs
     on dense vertex ids, and tuples are made only for the kept graph, one
-    per vertex. Rank order is arc order and a rank cannot repeat, so the
-    arcs need neither a sort nor a duplicate check.
+    per vertex. No arc joins two components, so every out-arc of a kept
+    vertex is kept. Rank order is arc order and a rank cannot repeat, so
+    the arcs need neither a sort nor a duplicate check.
     """
     if n < 1:
         raise ValueError("span must be >= 1")
@@ -156,7 +173,7 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     arc = partial(tuple.__new__, Arc)
     # An arc's label is the last letter of its head.
     out = {
-        tail: tuple([arc((tail, order[h] % k, vertex[h])) for h in succ[v] if inside[h]])
+        tail: tuple([arc((tail, order[h] % k, vertex[h])) for h in succ[v]])
         for v, tail in vertex.items()
     }
     return _assemble(n, lang.alphabet, lang, out)
@@ -172,10 +189,11 @@ class IrreducibilityReport:
 def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     """Graph-level irreducibility check at span n.
 
-    Passes when the raw span-n graph has a unique strongly connected
-    component holding at least one arc and every word of length n+1 maps
-    to an arc inside it. Never raises; failures come back with the words
-    that would be dropped.
+    Passes when the raw span-n graph has a unique largest strongly
+    connected component and every word of length n+1 maps to an arc inside
+    it. Both ends of an arc lie in one component, so the excluded words
+    are the out-arcs of the vertices outside the main one. Never raises;
+    failures come back with the words that would be dropped.
     """
     if n < 1:
         raise ValueError("span must be >= 1")
@@ -186,7 +204,7 @@ def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     k = lang.alphabet.size
     outside = [
         order[t] * k + order[h] % k
-        for t, heads in enumerate(succ) for h in heads if not (inside[t] and inside[h])
+        for t, heads in enumerate(succ) if not inside[t] for h in heads
     ]
     excluded = tuple(decode_ranks(outside, k, n + 1))
     if ties > 1:
@@ -279,9 +297,15 @@ def graph_from_json(data: dict) -> DeBruijnGraph:
             Arc(alphabet.word(d["tail"]), alphabet.rank(d["label"]), alphabet.word(d["head"]))
             for d in data["arcs"]
         ]
-        span = int(data["span"])
+        span = data["span"]
+        named = sorted(map(alphabet.word, data["vertices"])) if "vertices" in data else None
     except KeyError as e:
         raise ValueError(f"graph JSON lacks the field {e.args[0]!r}") from None
     except TypeError as e:
         raise ValueError(f"malformed graph JSON: {e}") from None
-    return graph_from_arcs(span, alphabet, arcs)
+    if type(span) is not int:   # not a float, a string or a bool
+        raise ValueError(f"graph JSON span {span!r} is not an integer")
+    g = graph_from_arcs(span, alphabet, arcs)
+    if named is not None and named != list(g.vertices):
+        raise ValueError("graph JSON vertices are not exactly the arcs' endpoints")
+    return g

@@ -1,4 +1,5 @@
-"""Strongly connected components (iterative Tarjan on dense vertex ids)."""
+"""Strongly connected components of general digraphs (iterative Tarjan on
+dense vertex ids); the span-n graph finds its own by reachability."""
 
 from __future__ import annotations
 
@@ -88,31 +89,3 @@ def strongly_connected_components(
             heads.append(ids[w])
         succ.append(heads)
     return [[names[i] for i in comp] for comp in tarjan(succ)]
-
-
-def largest_components(succ: Sequence[Sequence[int]]) -> tuple[list[bool], int, int]:
-    """Choose the main strongly connected component of the digraph on
-    vertices 0..len(succ)-1, where succ[v] lists the heads of v's arcs.
-
-    The main component is the first one (in Tarjan completion order)
-    holding the most internal arcs. Returns, for each vertex, whether it
-    lies in that component, then the number of components tied at that
-    arc count (0 when no arc is internal), then the count. An arc lies
-    inside the main component exactly when both its ends do.
-    """
-    comps = tarjan(succ)
-    comp_of = [0] * len(succ)
-    for c, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = c
-    arc_count = [0] * len(comps)
-    for v, heads in enumerate(succ):
-        c = comp_of[v]
-        for w in heads:
-            if comp_of[w] == c:
-                arc_count[c] += 1
-    best = max(arc_count, default=0)
-    if best == 0:
-        return [False] * len(succ), 0, 0
-    keep = arc_count.index(best)
-    return [c == keep for c in comp_of], arc_count.count(best), best

@@ -239,9 +239,31 @@ def test_graph_from_json_rejects_malformed_data():
         arcs = [{k: v for k, v in d.items() if k != field} for d in data["arcs"]]
         with pytest.raises(ValueError, match=f"'{field}'"):
             graph_from_json({**data, "arcs": arcs})
-    for bad in (None, {**data, "arcs": ["0"]}, {**data, "alphabet": None}):
+    for bad in (None, {**data, "arcs": ["0"]}, {**data, "alphabet": None}, {**data, "vertices": 5}):
         with pytest.raises(ValueError, match="malformed graph JSON"):
             graph_from_json(bad)
+
+
+@pytest.mark.parametrize("span", [3.7, 5.0, "5", True, None])
+def test_graph_from_json_rejects_a_span_that_is_not_an_integer(span):
+    data = graph_to_json(golden5())
+    with pytest.raises(ValueError, match="is not an integer"):
+        graph_from_json({**data, "span": span})
+
+
+def test_graph_from_json_checks_the_vertex_list():
+    data = graph_to_json(golden5())
+    with pytest.raises(ValueError, match="symbol 'z' not in alphabet"):
+        graph_from_json({**data, "vertices": ["zzz"]})
+    for vertices in ([], data["vertices"][1:], data["vertices"] + ["00000"],
+                     data["vertices"] + data["vertices"][:1]):
+        with pytest.raises(ValueError, match="vertices are not exactly the arcs' endpoints"):
+            graph_from_json({**data, "vertices": vertices})
+    # The list may come in any order, or not at all.
+    shuffled = graph_from_json({**data, "vertices": data["vertices"][::-1]})
+    assert graph_to_json(shuffled) == data
+    without = graph_from_json({k: v for k, v in data.items() if k != "vertices"})
+    assert graph_to_json(without) == data
 
 
 def test_single_vertex_self_loop_language_is_accepted():

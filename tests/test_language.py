@@ -203,6 +203,15 @@ def test_check_irreducible():
     assert not rep2.irreducible
     alphabet = Language.from_text("01").alphabet
     assert alphabet.word("11111") in rep2.excluded
+    # On a tie the first completed component is the main one; the others'
+    # words are excluded.
+    rep3 = check_irreducible(Language.from_text("01", ("01", "10")), 3)
+    assert (rep3.irreducible, rep3.reason, rep3.excluded) == (
+        False, "2 components tie at 1 arcs", ((1, 1, 1, 1),))
+    unequal = [a + b for a in "012" for b in "012" if a != b]
+    rep4 = check_irreducible(Language.from_text("012", unequal), 2)
+    assert (rep4.irreducible, rep4.reason, rep4.excluded) == (
+        False, "3 components tie at 1 arcs", ((1, 1, 1), (2, 2, 2)))
 
 
 def test_random_corpus_is_irreducible_by_construction():

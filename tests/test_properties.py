@@ -1,7 +1,8 @@
 """Property tests over random languages and random command lines.
 
 Enumeration, the main-component choice and the irreducibility check are
-compared with the brute-force oracles of `corpus`, and the whole graph with
+compared with the brute-force oracles of `corpus`, the components of the
+raw span-n digraph with its dict-based Tarjan, and the whole graph with
 the tuple-based build of `corpus.oracle_build_graph`; the greedy-walk decision
 is compared with the greedy walk itself at spans past the oracles' reach;
 the CLI is fed random flags and must answer every one with exit 0, 1 or 2.
@@ -25,8 +26,11 @@ from debruijn_sft import (
     minimal_walk,
 )
 from debruijn_sft.cli import main
+from debruijn_sft.graph import _span_digraph
 
-from corpus import oracle_build_graph, oracle_main_component, oracle_suffix_words, oracle_words
+from corpus import (
+    oracle_build_graph, oracle_main_component, oracle_suffix_words, oracle_tarjan, oracle_words,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -123,6 +127,30 @@ def build_outcome(build, lang, n):
 def test_build_graph_matches_tuple_oracle(instance):
     lang, n = instance
     assert build_outcome(build_graph, lang, n) == build_outcome(oracle_build_graph, lang, n)
+
+
+@example((Language.from_text("01", ["01111"]), 4))        # a stray component
+@example((Language.from_text("01", ["01", "10"]), 2))      # two tied loops
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_span_digraph_components_are_closed_and_the_first_largest_wins(instance):
+    # The reachability pass in _span_digraph is right only because no arc
+    # of a language graph joins two components; Tarjan checks that here.
+    lang, n = instance
+    found = _span_digraph(lang, n)
+    if found is None:
+        return
+    _, succ, inside, ties, best = found
+    comps = oracle_tarjan(range(len(succ)), lambda v: succ[v])
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    assert all(comp_of[t] == comp_of[h] for t, heads in enumerate(succ) for h in heads)
+    arcs = [0] * len(comps)
+    for t, heads in enumerate(succ):
+        arcs[comp_of[t]] += sum(comp_of[h] == comp_of[t] for h in heads)
+    most = max(arcs)
+    keep = arcs.index(most)   # the first completed of the largest
+    assert inside == [comp_of[v] == keep for v in range(len(succ))]
+    assert (ties, best) == (arcs.count(most), most)
 
 
 @example((Language.from_text("01", ["1001", "00"]), 6))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from debruijn_sft.scc import largest_components, strongly_connected_components, tarjan
+from debruijn_sft.scc import strongly_connected_components, tarjan
 
 from corpus import oracle_tarjan
 
@@ -54,32 +54,6 @@ def test_long_cycle():
     comps = strongly_connected_components(vertices, lambda v: succ[v])
     assert len(comps) == 1
     assert len(comps[0]) == n
-
-
-def main_arcs(arcs):
-    """largest_components on the digraph of `arcs` (tail, head), read back
-    per arc: inside the main component when both ends are."""
-    succ = [[] for _ in range(1 + max(map(max, arcs)))]
-    for tail, head in arcs:
-        succ[tail].append(head)
-    inside, ties, best = largest_components(succ)
-    return [inside[t] and inside[h] for t, h in arcs], ties, best
-
-
-def test_largest_components_marks_the_arcs_of_the_main_component():
-    # A 3-cycle, an arc out of it, and a self-loop beyond.
-    arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3)]
-    assert main_arcs(arcs) == ([True, True, True, False, False], 1, 3)
-
-
-def test_largest_components_tie_keeps_the_first_completed():
-    # Two 2-cycles joined by an arc; Tarjan completes {2, 3} first.
-    arcs = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]
-    assert main_arcs(arcs) == ([False, False, False, True, True], 2, 2)
-
-
-def test_largest_components_without_internal_arcs():
-    assert main_arcs([(0, 1), (1, 2)]) == ([False, False], 0, 0)
 
 
 def random_digraphs(count, seed=7):
