@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from math import factorial, gcd, isqrt, prod
+from operator import sub
 
 from .errors import NotEulerianError
 from .graph import DeBruijnGraph
@@ -197,22 +198,25 @@ def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
     """Number of spanning trees in which every vertex can reach the root.
 
     The count is the determinant of the reduced Laplacian (out-degrees
-    on the diagonal, the root's row and column removed), built as sparse
-    rows. Self-loops lie in no spanning tree and are left out; parallel
-    arcs count with multiplicity.
+    on the diagonal, the root's row and column removed), built from the
+    graph's id tables as sparse rows in vertex order. Self-loops lie in no
+    spanning tree and are left out; parallel arcs count with multiplicity.
     """
-    if root not in g.out:
+    r = g.id_of(root)
+    if r is None:
         raise ValueError(f"vertex {root} is not in the graph")
-    index = {v: i for i, v in enumerate(v for v in g.out if v != root)}
+    heads, first = g.heads, g.first
     rows = []
-    for v, i in index.items():
+    for v in range(len(g.ranks)):
+        if v == r:
+            continue
+        i = len(rows)
         row = {i: 0}
-        for a in g.out[v]:
-            h = a.head
+        for h in heads[first[v] : first[v + 1]]:
             if h != v:
                 row[i] += 1
-                j = index.get(h)   # None for the root
-                if j is not None:
+                if h != r:
+                    j = h - (h > r)   # rows and columns skip the root
                     row[j] = row.get(j, 0) - 1
         rows.append(row)
     return integer_determinant(rows)
@@ -221,10 +225,7 @@ def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
 def out_degree_factorials(g: DeBruijnGraph) -> int:
     """Product over vertices of (out-degree - 1)!: the circuits per
     converging spanning tree."""
-    product = 1
-    for v in g.vertices:
-        product *= factorial(len(g.out_arcs(v)) - 1)
-    return product
+    return prod(factorial(d - 1) for d in map(sub, g.first[1:], g.first))
 
 
 def count_eulerian_cycles(g: DeBruijnGraph, root: Word) -> int:

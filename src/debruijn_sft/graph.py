@@ -10,15 +10,18 @@ orderings (vertex list, arc list, per-vertex out-arcs) are deterministic.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from functools import partial
-from itertools import chain, groupby, islice
-from operator import itemgetter
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
-from .language import Alphabet, Language, Word, decode_ranks, enumerate_ranks, is_circular_word
+from .language import (
+    Alphabet, Language, Word, decode_ranks, encode_word, enumerate_ranks, is_circular_word,
+)
 
 
 class Arc(NamedTuple):
@@ -29,37 +32,68 @@ class Arc(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DeBruijnGraph:
+    """A graph on dense vertex ids, with tuple views made on first read.
+
+    Vertex id v is the word of base-k value ranks[v]. Ranks ascend, so ids
+    follow word order and the last id is the maximal vertex. Arc ids follow
+    arc order, (tail, label): the out-arcs of v, in ascending label order,
+    are the ids first[v] to first[v + 1] - 1, and arc i has head id
+    heads[i] and label labels[i]. These tables are the graph.
+
+    `vertices`, `arcs` and `out` hold the same graph as word tuples and
+    `Arc`s. Each is made from the tables when first read and kept; every
+    arc shares the one tuple of each of its ends. `max_vertex` alone is
+    decoded at once. `minimal_walk`, `eulerian_cycle` and the circuit
+    count read only the tables.
+    """
+
     span: int
     alphabet: Alphabet
     language: Language | None
-    vertices: tuple[Word, ...]           # lexicographically sorted
-    arcs: tuple[Arc, ...]                # sorted by (tail, label)
-    out: dict[Word, tuple[Arc, ...]]     # per vertex, ascending label
-    max_vertex: Word
+    ranks: list[int]
+    first: list[int]
+    heads: list[int]
+    labels: list[int]
+    max_vertex: Word = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "max_vertex", self.word_of(len(self.ranks) - 1))
+
+    @cached_property
+    def vertices(self) -> tuple[Word, ...]:   # lexicographically sorted
+        return tuple(decode_ranks(self.ranks, self.alphabet.size, self.span))
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:        # sorted by (tail, label)
+        vertices = self.vertices
+        tails = chain.from_iterable(map(repeat, vertices, map(sub, self.first[1:], self.first)))
+        # Arc(...) runs a Python-level __new__; this makes the same tuple.
+        arc = partial(tuple.__new__, Arc)
+        return tuple(map(arc, zip(tails, self.labels, map(vertices.__getitem__, self.heads))))
+
+    @cached_property
+    def out(self) -> dict[Word, tuple[Arc, ...]]:   # per vertex, ascending label
+        first = self.first
+        return dict(zip(self.vertices, map(self.arcs.__getitem__, map(slice, first, first[1:]))))
+
+    def word_of(self, v: int) -> Word:
+        """The word of vertex id v."""
+        return decode_ranks([self.ranks[v]], self.alphabet.size, self.span)[0]
+
+    def id_of(self, v: Word) -> int | None:
+        """The id of vertex v, or None when v is not a vertex of the graph."""
+        letters = range(self.alphabet.size)
+        if len(v) != self.span or not all(a in letters for a in v):
+            return None
+        rank = encode_word(v, self.alphabet.size)
+        i = bisect_left(self.ranks, rank)
+        return i if i < len(self.ranks) and self.ranks[i] == rank else None
 
     def out_arcs(self, v: Word) -> tuple[Arc, ...]:
         return self.out.get(v, ())
 
     def __contains__(self, arc: Arc) -> bool:
         return arc in self.out.get(arc.tail, ())
-
-
-def _assemble(
-    span: int, alphabet: Alphabet, language: Language | None,
-    out: dict[Word, tuple[Arc, ...]],
-) -> DeBruijnGraph:
-    """The graph whose out-arc table is `out`: every vertex in ascending
-    order, each with its out-arcs in ascending label order."""
-    vertices = tuple(out)
-    return DeBruijnGraph(
-        span=span,
-        alphabet=alphabet,
-        language=language,
-        vertices=vertices,
-        arcs=tuple(chain.from_iterable(out.values())),
-        out=out,
-        max_vertex=vertices[-1],
-    )
 
 
 def graph_from_arcs(
@@ -88,16 +122,21 @@ def graph_from_arcs(
     for a, b in zip(ordered, ordered[1:]):
         if a.tail == b.tail and a.label == b.label:
             raise ValueError(f"vertex {a.tail} has two out-arcs with the same label")
-    verts = {a.tail for a in ordered} | {a.head for a in ordered}
-    out: dict[Word, tuple[Arc, ...]] = dict.fromkeys(sorted(verts), ())
-    for tail, group in groupby(ordered, itemgetter(0)):
-        out[tail] = tuple(group)
-    return _assemble(span, alphabet, language, out)
+    vertices = sorted({a.tail for a in ordered} | {a.head for a in ordered})
+    ids = dict(zip(vertices, range(len(vertices))))
+    degree = Counter([a.tail for a in ordered])
+    return DeBruijnGraph(
+        span, alphabet, language,
+        ranks=[encode_word(v, alphabet.size) for v in vertices],
+        first=[0, *accumulate(degree[v] for v in vertices)],
+        heads=[ids[a.head] for a in ordered],
+        labels=[a.label for a in ordered],
+    )
 
 
 def _span_digraph(
     lang: Language, n: int,
-) -> tuple[list[int], list[tuple[int, ...]], list[bool], int, int] | None:
+) -> tuple[list[int], list[int], list[int], list[int], list[bool], int, int] | None:
     """The raw span-n digraph of the language and its main component, or
     None when there are no words of length n+1.
 
@@ -105,9 +144,9 @@ def _span_digraph(
     c % k. Tails come ascending and every head is a tail too (rotating a
     circular word gives another), so the tails alone number the vertices
     and each vertex's arcs are one run of ranks. Returns the vertex ranks,
-    the head ids of each vertex id's arcs in label order, whether each
-    vertex lies in the main component, the number of components tied at
-    its arc count, and that count. A word's n+1 rotations are a closed
+    the tables `first`, `heads` and `labels` of `DeBruijnGraph`, whether
+    each vertex lies in the main component, the number of components tied
+    at its arc count, and that count. A word's n+1 rotations are a closed
     walk, so what a vertex reaches is its component: a search from each
     unseen id in turn meets the components in Tarjan completion order, and
     the main one is the first with the most arcs.
@@ -120,24 +159,26 @@ def _span_digraph(
     order = list(arc_counts)
     ids = dict(zip(order, range(len(order))))
     size = k ** n
-    heads = iter([ids[c % size] for c in ranks])
-    del ranks   # freed before the components are found
-    succ = [tuple(islice(heads, m)) for m in arc_counts.values()]
-    comp_of = [-1] * len(succ)
+    heads = [ids[c % size] for c in ranks]
+    labels = [c % k for c in ranks]
+    del ranks, ids   # freed before the components are found
+    first = [0, *accumulate(arc_counts.values())]
+    comp_of = [-1] * len(order)
     comp_arcs = []   # arc count per component, in the order met
-    for root in range(len(succ)):
+    for root in range(len(order)):
         if comp_of[root] < 0:
             comp_of[root] = len(comp_arcs)
             comp = [root]
             for v in comp:   # grows while it is read
-                for w in succ[v]:
+                for w in heads[first[v] : first[v + 1]]:
                     if comp_of[w] < 0:
                         comp_of[w] = len(comp_arcs)
                         comp.append(w)
-            comp_arcs.append(sum([len(succ[v]) for v in comp]))
+            comp_arcs.append(sum([first[v + 1] - first[v] for v in comp]))
     best = max(comp_arcs)
     keep = comp_arcs.index(best)
-    return order, succ, [c == keep for c in comp_of], comp_arcs.count(best), best
+    inside = [c == keep for c in comp_of]
+    return order, first, heads, labels, inside, comp_arcs.count(best), best
 
 
 def build_graph(lang: Language, n: int) -> DeBruijnGraph:
@@ -147,11 +188,11 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     AmbiguousComponentError when two components tie for the maximal arc
     count (the construction is only well defined with a unique winner).
 
-    Works on integer word ranks until the end: the component choice runs
-    on dense vertex ids, and tuples are made only for the kept graph, one
-    per vertex. No arc joins two components, so every out-arc of a kept
-    vertex is kept. Rank order is arc order and a rank cannot repeat, so
-    the arcs need neither a sort nor a duplicate check.
+    Works on integer word ranks throughout: the component choice runs on
+    dense vertex ids, and the kept vertices are numbered again only when
+    some are dropped. No arc joins two components, so every out-arc of a
+    kept vertex is kept. Rank order is arc order and a rank cannot repeat,
+    so the arcs need neither a sort nor a duplicate check.
     """
     if n < 1:
         raise ValueError("span must be >= 1")
@@ -163,20 +204,18 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     found = _span_digraph(lang, n)
     if found is None:
         raise EmptyGraphError(f"no words of length {n + 1}")
-    order, succ, inside, ties, best = found
+    ranks, first, heads, labels, inside, ties, best = found
     if ties > 1:
         raise AmbiguousComponentError(f"{ties} strongly connected components tie at {best} arcs")
-    k = lang.alphabet.size
-    kept = [v for v, keep in enumerate(inside) if keep]
-    vertex = dict(zip(kept, decode_ranks([order[v] for v in kept], k, n)))
-    # Arc(...) runs a Python-level __new__; this makes the same tuple.
-    arc = partial(tuple.__new__, Arc)
-    # An arc's label is the last letter of its head.
-    out = {
-        tail: tuple([arc((tail, order[h] % k, vertex[h])) for h in succ[v]])
-        for v, tail in vertex.items()
-    }
-    return _assemble(n, lang.alphabet, lang, out)
+    if not all(inside):
+        kept = [v for v, keep in enumerate(inside) if keep]
+        new_id = dict(zip(kept, range(len(kept))))
+        arcs = [i for v in kept for i in range(first[v], first[v + 1])]
+        ranks = [ranks[v] for v in kept]
+        heads = [new_id[heads[i]] for i in arcs]
+        labels = [labels[i] for i in arcs]
+        first = [0, *accumulate(first[v + 1] - first[v] for v in kept)]
+    return DeBruijnGraph(n, lang.alphabet, lang, ranks, first, heads, labels)
 
 
 @dataclass(frozen=True)
@@ -200,11 +239,11 @@ def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     found = _span_digraph(lang, n)
     if found is None:
         return IrreducibilityReport(False, f"no words of length {n + 1}", ())
-    order, succ, inside, ties, best = found
+    ranks, first, _, labels, inside, ties, best = found
     k = lang.alphabet.size
     outside = [
-        order[t] * k + order[h] % k
-        for t, heads in enumerate(succ) if not inside[t] for h in heads
+        ranks[t] * k + labels[i]
+        for t, keep in enumerate(inside) if not keep for i in range(first[t], first[t + 1])
     ]
     excluded = tuple(decode_ranks(outside, k, n + 1))
     if ties > 1:

@@ -50,7 +50,8 @@ class Alphabet:
         return tuple(self.rank(ch) for ch in text)
 
     def text(self, word: Word) -> str:
-        return "".join(self.symbols[r] for r in word)
+        symbols = self.symbols
+        return "".join([symbols[r] for r in word])
 
 
 @dataclass(frozen=True)
@@ -221,6 +222,19 @@ def decode_ranks(ranks: list[int], k: int, length: int) -> list[Word]:
     hi_word = dict(zip(his, decode_ranks(his, k, length - low)))
     lo_word = dict(zip(los, decode_ranks(los, k, low)))
     return [hi_word[r // step] + lo_word[r % step] for r in ranks]
+
+
+def encode_word(w: Word, k: int) -> int:
+    """The base-k value of w, the inverse of `decode_ranks`. The halves
+    are encoded apart and joined, so a long word costs no quadratic run of
+    big-int steps."""
+    if len(w) <= 8:
+        r = 0
+        for a in w:
+            r = r * k + a
+        return r
+    low = len(w) // 2
+    return encode_word(w[:-low], k) * k ** low + encode_word(w[-low:], k)
 
 
 def enumerate_words(lang: Language, n: int) -> list[Word]:

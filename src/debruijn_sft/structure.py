@@ -332,29 +332,54 @@ def check_cycle_label_blocks(t: MaxArcAnalysis, cycle: tuple[Word, ...]) -> Veri
 def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationReport:
     """When the avoiding walk exhausts a vertex v that is not on a reserved
     cycle, everything that drains into v through reserved arcs is already
-    exhausted."""
+    exhausted.
+
+    Off the cycles the reserved arcs form a forest, and u drains into the
+    vertices above it. One pass down the forest keeps, per vertex, how
+    many vertices at or above it are exhausted and the earliest of their
+    times, so each vertex is visited once. A vertex makes one check per
+    exhausted vertex above it, and a violation when it is exhausted later
+    than the earliest of them, or never. Only for such a vertex is its
+    path up walked again, to name the vertices it is late for.
+    """
     walk = walk_avoiding(g, avoid)
     order = exhaustion_order(walk, g)
     reserved = avoid.arc_by_vertex
     on_cycle = {v for cyc in _functional_cycles(g.vertices, reserved) for v in cyc}
-
-    # Off the cycles the reserved arcs form a forest; walking up from u
-    # meets every v that u drains into.
     parent = {
         v: a.head for v, a in reserved.items()
         if v not in on_cycle and a.head not in on_cycle
     }
+    never = len(g.arcs) + 1   # later than any exhaustion time
+    # above[v]: (exhausted vertices among v and the vertices above it,
+    # the earliest time among them)
+    above: dict[Word, tuple[int, int]] = {}
     checks = 0
-    late = []
+    late_vertices = []
     for u in g.vertices:
+        path = []
+        v: Word | None = u
+        while v is not None and v not in above:
+            path.append(v)
+            v = parent.get(v)
+        count, earliest = (0, never) if v is None else above[v]
+        for w in reversed(path):   # down from the top
+            t = order.get(w)
+            checks += count
+            if count and (t is None or t > earliest):
+                late_vertices.append(w)
+            if t is not None:
+                count += 1
+                earliest = min(earliest, t)
+            above[w] = (count, earliest)
+    late = []
+    for u in late_vertices:
         t = order.get(u)
         v = parent.get(u)
         while v is not None:
             tv = order.get(v)
-            if tv is not None:
-                checks += 1
-                if t is None or t > tv:
-                    late.append((v, u))
+            if tv is not None and (t is None or t > tv):
+                late.append((v, u))
             v = parent.get(v)
     violations = [
         f"{v} exhausted at {order[v]} but upstream {u} at {order.get(u)}"

@@ -3,7 +3,9 @@ the greedy minimal walk, and exhaustion bookkeeping."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, repeat
+from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import NotEulerianError
@@ -11,29 +13,91 @@ from .graph import Arc, DeBruijnGraph
 from .language import Word
 
 
-@dataclass(frozen=True)
 class Walk:
-    start: Word
-    steps: tuple[Arc, ...]
+    """A walk: its start vertex and its arcs in order.
+
+    `Walk(start, steps)` takes the arcs themselves. The walkers of this
+    module make walks from a graph's ids instead: such a walk holds the
+    graph and its arc ids, and reads `label`, `end` and `is_eulerian`
+    from them. Its `Arc`s are made when `steps` is first read. Either way
+    two walks are equal when their starts and steps are, and a walk
+    cannot be changed.
+    """
+
+    __slots__ = ("start", "_steps", "_graph", "_ids")
+
+    def __init__(self, start: Word, steps: tuple[Arc, ...]) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_graph", None)
+
+    @classmethod
+    def _of_ids(cls, g: DeBruijnGraph, start: Word, ids: list[int]) -> Walk:
+        """The walk from vertex `start` along the arc ids `ids` of g."""
+        walk = object.__new__(cls)
+        object.__setattr__(walk, "start", start)
+        object.__setattr__(walk, "_steps", None)
+        object.__setattr__(walk, "_graph", g)
+        object.__setattr__(walk, "_ids", ids)
+        return walk
+
+    @property
+    def steps(self) -> tuple[Arc, ...]:
+        if self._steps is None:
+            arcs = self._graph.arcs
+            object.__setattr__(self, "_steps", tuple([arcs[i] for i in self._ids]))
+        return self._steps
 
     @property
     def label(self) -> Word:
-        return tuple(a.label for a in self.steps)
+        if self._graph is None:
+            return tuple(a.label for a in self._steps)
+        labels = self._graph.labels
+        return tuple([labels[i] for i in self._ids])
 
     @property
     def end(self) -> Word:
-        return self.steps[-1].head if self.steps else self.start
+        if self._graph is None:
+            return self._steps[-1].head if self._steps else self.start
+        if not self._ids:
+            return self.start
+        return self._graph.word_of(self._graph.heads[self._ids[-1]])
 
     @property
     def is_closed(self) -> bool:
         return self.end == self.start
 
     def is_eulerian(self, g: DeBruijnGraph) -> bool:
+        if self._graph is g:   # the walkers spend each arc at most once
+            return self.is_closed and len(self._ids) == len(g.heads)
+        steps = self.steps
         return (
             self.is_closed
-            and len(self.steps) == len(g.arcs)
-            and len(set(self.steps)) == len(self.steps)
+            and len(steps) == len(g.heads)
+            and len(set(steps)) == len(steps)
         )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.steps) == (other.start, other.steps)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.steps))
+
+    def __repr__(self) -> str:
+        return f"Walk(start={self.start!r}, steps={self.steps!r})"
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles are remade through the constructor, which
+        # takes arcs, since a walk refuses assignment.
+        return Walk, (self.start, self.steps)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,72 +120,85 @@ def check_avoid_set(g: DeBruijnGraph, avoid: AvoidSet) -> None:
 
 
 def walk_to_json(walk: Walk, g: DeBruijnGraph) -> dict:
+    label = walk.label
     return {
         "start": g.alphabet.text(walk.start),
-        "label": g.alphabet.text(walk.label),
-        "arcCount": len(walk.steps),
+        "label": g.alphabet.text(label),
+        "arcCount": len(label),
         "eulerian": walk.is_eulerian(g),
     }
 
 
 def check_balanced(g: DeBruijnGraph) -> None:
     """Raise NotEulerianError at the first vertex whose in- and out-degree differ."""
-    indeg: dict[Word, int] = {v: 0 for v in g.vertices}
-    for a in g.arcs:
-        indeg[a.head] += 1
-    for v in g.vertices:
-        if indeg[v] != len(g.out_arcs(v)):
-            raise NotEulerianError(
-                f"vertex {v}: in-degree {indeg[v]} != out-degree {len(g.out_arcs(v))}"
-            )
+    indeg = [0] * len(g.ranks)
+    for h in g.heads:
+        indeg[h] += 1
+    outdeg = list(map(sub, g.first[1:], g.first))
+    if indeg != outdeg:
+        v = next(v for v, (i, o) in enumerate(zip(indeg, outdeg)) if i != o)
+        raise NotEulerianError(
+            f"vertex {g.word_of(v)}: in-degree {indeg[v]} != out-degree {outdeg[v]}"
+        )
 
 
-def _spend(
-    order: Mapping[Word, Sequence[Arc]], spent: dict[Word, int], start: Word
-) -> list[Arc]:
-    """Greedy walk from `start` that leaves each vertex v by the next arc of
-    order[v] not yet spent, and stops at a vertex with none left.
+def _spend(heads: Sequence[int], first: Sequence[int], cursor: list[int], start: int) -> list[int]:
+    """Greedy walk from vertex id `start` that leaves each vertex by its
+    next unspent arc, and stops at a vertex with none left.
 
-    A greedy walk only ever takes the first unspent arc in its order, so the
-    arcs spent at v are always a prefix of order[v] and `spent` keeps just
-    that prefix length. It is updated in place and can carry across calls.
+    The arcs of vertex v sit at positions first[v] to first[v + 1] - 1 in
+    the order the walk spends them, and heads[p] is the head id of the arc
+    at position p. A greedy walk only ever takes the first unspent arc in
+    its order, so the spent arcs of v are a prefix of its positions, and
+    cursor[v] (first[v] at the outset) is where that prefix ends. The
+    cursor is updated in place and can carry across calls. Returns the
+    positions taken, in order.
     """
-    steps: list[Arc] = []
+    steps: list[int] = []
+    take = steps.append
     cur = start
     while True:
-        arcs = order[cur]
-        k = spent.get(cur, 0)
-        if k == len(arcs):
+        p = cursor[cur]
+        if p == first[cur + 1]:
             return steps
-        spent[cur] = k + 1
-        arc = arcs[k]
-        steps.append(arc)
-        cur = arc.head
+        cursor[cur] = p + 1
+        take(p)
+        cur = heads[p]
 
 
 def eulerian_cycle(g: DeBruijnGraph, start: Word) -> Walk:
     """One Eulerian circuit from `start`, by cycle splicing.
 
-    Subcycles are grown by minimum-label arcs and spliced at the first
-    position that still has unused arcs, so the output is deterministic
-    (but not label-minimal in general).
+    Subcycles are grown by minimum-label arcs. Each one is spliced in at
+    the first position of the tour that still has unused arcs, so the
+    output is deterministic (but not label-minimal in general). One stack
+    of iterators does the splicing in O(E): after each arc it reads, it
+    goes into the subcycle from that arc's head, if that head has arcs
+    left, and returns to the arc after it once that subcycle is read.
     """
-    if start not in g.out:
+    at = g.id_of(start)
+    if at is None:
         raise ValueError(f"vertex {start} is not in the graph")
     check_balanced(g)
     # On a balanced graph each subcycle returns to where it started.
-    spent: dict[Word, int] = {}
-    tour = _spend(g.out, spent, start)
-    i = 0
-    while i <= len(tour):
-        v = start if i == 0 else tour[i - 1].head
-        tour[i:i] = _spend(g.out, spent, v)
-        i += 1
-    if len(tour) != len(g.arcs):
+    heads, first = g.heads, g.first
+    cursor = list(first)
+    tour: list[int] = []
+    stack = [iter(_spend(heads, first, cursor, at))]
+    while stack:
+        for i in stack[-1]:
+            tour.append(i)
+            h = heads[i]
+            if cursor[h] != first[h + 1]:
+                stack.append(iter(_spend(heads, first, cursor, h)))
+                break
+        else:
+            stack.pop()
+    if len(tour) != len(heads):
         raise NotEulerianError(
-            f"only {len(tour)} of {len(g.arcs)} arcs reachable from {start}"
+            f"only {len(tour)} of {len(heads)} arcs reachable from {start}"
         )
-    return Walk(start, tuple(tour))
+    return Walk._of_ids(g, start, tour)
 
 
 def walk_avoiding(g: DeBruijnGraph, avoid: AvoidSet) -> Walk:
@@ -133,16 +210,43 @@ def walk_avoiding(g: DeBruijnGraph, avoid: AvoidSet) -> Walk:
     before covering the graph; that outcome is returned, not raised.
     """
     check_avoid_set(g, avoid)
-    order = dict(g.out)
+    first, labels = g.first, g.labels
+    ids = dict(zip(g.vertices, range(len(first) - 1)))
+    # order[p]: the arc at position p of the walk's order. A reserved arc
+    # that is not its vertex's last moves to the end of its vertex's run.
+    order = list(range(len(labels)))
     for v, reserved in avoid.arc_by_vertex.items():
-        order[v] = [a for a in order[v] if a != reserved] + [reserved]
-    return Walk(avoid.root, tuple(_spend(order, {}, avoid.root)))
+        end = first[ids[v] + 1]
+        r = labels.index(reserved.label, first[ids[v]], end)
+        if r != end - 1:
+            order[r:end] = [*range(r + 1, end), r]
+    heads = [g.heads[i] for i in order]
+    root = ids[avoid.root]
+    steps = _spend(heads, first, list(first), root)
+    return Walk._of_ids(g, avoid.root, [order[p] for p in steps])
 
 
 def minimal_walk(g: DeBruijnGraph) -> Walk:
     """Greedy walk from the maximal vertex, always taking the minimum-label
     unvisited arc; no walk from there of equal length has a smaller label."""
-    return Walk(g.max_vertex, tuple(_spend(g.out, {}, g.max_vertex)))
+    steps = _spend(g.heads, g.first, list(g.first), len(g.ranks) - 1)
+    return Walk._of_ids(g, g.max_vertex, steps)
+
+
+def _arc_ids(walk: Walk, g: DeBruijnGraph) -> list[int]:
+    """The arc ids of g along the walk; ValueError when it does not chain
+    through arcs of g."""
+    if walk._graph is g:
+        return walk._ids
+    ids = []
+    cur = walk.start
+    for a in walk.steps:
+        if a not in g or a.tail != cur:
+            raise ValueError("walk does not chain through arcs of this graph")
+        v = g.id_of(a.tail)
+        ids.append(g.labels.index(a.label, g.first[v], g.first[v + 1]))
+        cur = a.head
+    return ids
 
 
 def exhaustion_order(walk: Walk, g: DeBruijnGraph) -> dict[Word, int]:
@@ -151,23 +255,21 @@ def exhaustion_order(walk: Walk, g: DeBruijnGraph) -> dict[Word, int]:
     A vertex is exhausted once every arc touching it (as head or tail)
     has been used; vertices never exhausted are absent from the map.
     """
-    remaining: dict[Word, int] = {v: 0 for v in g.vertices}
-    for a in g.arcs:
-        remaining[a.tail] += 1
-        if a.head != a.tail:
-            remaining[a.head] += 1
-    order = {v: 0 for v in g.vertices if remaining[v] == 0}
-    seen: set[Arc] = set()
-    cur = walk.start
-    for k, a in enumerate(walk.steps, start=1):
-        if a not in g or a.tail != cur:
-            raise ValueError("walk does not chain through arcs of this graph")
-        cur = a.head
-        if a in seen:
+    heads, first, vertices = g.heads, g.first, g.vertices
+    tails = list(chain.from_iterable(map(repeat, range(len(vertices)), map(sub, first[1:], first))))
+    remaining = [0] * len(vertices)   # unused arcs touching each vertex
+    for t, h in zip(tails, heads):
+        remaining[t] += 1
+        if h != t:
+            remaining[h] += 1
+    order = {vertices[v]: 0 for v, left in enumerate(remaining) if not left}
+    used = bytearray(len(heads))
+    for k, i in enumerate(_arc_ids(walk, g), start=1):
+        if used[i]:
             continue
-        seen.add(a)
-        for v in {a.tail, a.head}:
+        used[i] = 1
+        for v in {tails[i], heads[i]}:
             remaining[v] -= 1
-            if remaining[v] == 0:
-                order[v] = k
+            if not remaining[v]:
+                order[vertices[v]] = k
     return order

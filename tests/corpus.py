@@ -131,6 +131,53 @@ def random_hand_built_graphs(count: int, seed: int) -> list[DeBruijnGraph]:
     return graphs
 
 
+def random_balanced_graphs(count: int, seed: int) -> list[DeBruijnGraph]:
+    """Graphs assembled from random closed walks, so every vertex is
+    balanced: spans 1-3, 2-4 letters, random labels and arbitrary heads.
+    A closed walk may revisit a vertex or stay on it, which gives nested
+    subcycles and self-loops. Every fourth graph gets a second, separate
+    set of closed walks, so it is balanced but not connected."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        alphabet = Alphabet.from_text("0123"[: rng.randint(2, 4)])
+        span = rng.randint(1, 3)
+        cube = list(itertools.product(range(alphabet.size), repeat=span))
+        vertices = rng.sample(cube, min(len(cube), rng.randint(1, 8)))
+        parts = [vertices]
+        if len(graphs) % 4 == 3 and len(vertices) > 1:
+            cut = rng.randint(1, len(vertices) - 1)
+            parts = [vertices[:cut], vertices[cut:]]
+        free = {v: list(range(alphabet.size)) for v in vertices}
+        arcs = []
+        for part in parts:
+            for _ in range(rng.randint(1, 6)):
+                walk = [rng.choice(part) for _ in range(rng.randint(1, 7))]
+                steps = list(zip(walk, walk[1:] + walk[:1]))
+                tails = [t for t, _ in steps]
+                if any(tails.count(t) > len(free[t]) for t in tails):
+                    continue
+                for t, h in steps:
+                    label = free[t].pop(rng.randrange(len(free[t])))
+                    arcs.append(Arc(t, label, h))
+        if arcs:
+            graphs.append(graph_from_arcs(span, alphabet, arcs))
+    return graphs
+
+
+def nested_cycles_graph(depth: int) -> DeBruijnGraph:
+    """A path of depth+1 binary vertices of span 11, each joined to the
+    next by an arc labeled 1 and back by an arc labeled 0. From the first
+    vertex the greedy walk goes one step and back; the subcycle spliced
+    in after that step goes one step further and back, and so on, so the
+    subcycles nest `depth` deep."""
+    alphabet = Alphabet.from_text("01")
+    path = list(itertools.product(range(2), repeat=11))[: depth + 1]
+    arcs = [Arc(a, 1, b) for a, b in zip(path, path[1:])]
+    arcs += [Arc(b, 0, a) for a, b in zip(path, path[1:])]
+    return graph_from_arcs(11, alphabet, arcs)
+
+
 def avoid_sets(g: DeBruijnGraph, rng: random.Random) -> list[AvoidSet]:
     """The max-arc avoid set, plus random ones with random roots on graphs
     small enough for the quadratic reference."""
@@ -277,7 +324,8 @@ def oracle_suffix_words(lang: Language, n: int) -> list[Word]:
 def oracle_build_graph(lang: Language, n: int) -> DeBruijnGraph:
     """Reference for `build_graph` on tuples: suffix-test enumeration, the
     main component by the dict-based Tarjan over sorted vertex tuples, and
-    arcs sorted as tuples. Raises and warns as `build_graph` does."""
+    the kept arcs handed to `graph_from_arcs`, which sorts them as tuples.
+    Raises and warns as `build_graph` does."""
     if n < 1:
         raise ValueError("span must be >= 1")
     if n + 1 < lang.max_forbidden_len:
@@ -302,19 +350,11 @@ def oracle_build_graph(lang: Language, n: int) -> DeBruijnGraph:
         raise AmbiguousComponentError(
             f"{arc_count.count(best)} strongly connected components tie at {best} arcs")
     keep = arc_count.index(best)
-    arcs = sorted(
+    arcs = [
         Arc(w[:n], w[n], w[1:]) for w in words
         if comp_id[w[:n]] == keep and comp_id[w[1:]] == keep
-    )
-    out: dict[Word, list[Arc]] = {v: [] for v in sorted({a.tail for a in arcs})}
-    for a in arcs:
-        out[a.tail].append(a)
-    vertices = tuple(out)
-    return DeBruijnGraph(
-        span=n, alphabet=lang.alphabet, language=lang, vertices=vertices,
-        arcs=tuple(arcs), out={v: tuple(lst) for v, lst in out.items()},
-        max_vertex=vertices[-1],
-    )
+    ]
+    return graph_from_arcs(n, lang.alphabet, arcs, language=lang)
 
 
 def oracle_converging_trees(g: DeBruijnGraph, root: Word) -> int:
@@ -527,6 +567,37 @@ def oracle_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
                     f"{v} exhausted at {order[v]} but upstream {u} at "
                     f"{order.get(u)}"
                 )
+    return VerificationReport("exhaustion-order", checks, tuple(violations))
+
+
+def oracle_exhaustion_order_upward(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationReport:
+    """Reference for verify_exhaustion_order that walks up the reserved
+    forest from every vertex and checks each exhausted vertex it meets, so
+    its work is the sum of all depths."""
+    walk = walk_avoiding(g, avoid)
+    order = exhaustion_order(walk, g)
+    reserved = avoid.arc_by_vertex
+    on_cycle = {v for cyc in oracle_functional_cycles(g.vertices, reserved) for v in cyc}
+    parent = {
+        v: a.head for v, a in reserved.items()
+        if v not in on_cycle and a.head not in on_cycle
+    }
+    checks = 0
+    late = []
+    for u in g.vertices:
+        t = order.get(u)
+        v = parent.get(u)
+        while v is not None:
+            tv = order.get(v)
+            if tv is not None:
+                checks += 1
+                if t is None or t > tv:
+                    late.append((v, u))
+            v = parent.get(v)
+    violations = [
+        f"{v} exhausted at {order[v]} but upstream {u} at {order.get(u)}"
+        for v, u in sorted(late)
+    ]
     return VerificationReport("exhaustion-order", checks, tuple(violations))
 
 

@@ -81,6 +81,63 @@ def test_seq_empty_start_is_rejected(capsys):
     assert (code, err) == (2, "usage error: vertex () is not in the graph\n")
 
 
+@pytest.mark.parametrize("start", ["11111", "1010", "101010"])
+def test_seq_start_outside_the_graph_is_rejected(capsys, start):
+    # 11111 has the right length but is forbidden; the others are too short
+    # or too long.
+    code, out, err = run(capsys, "seq", "--alphabet", "01", "--forbid", "11",
+                         "--span", "5", "--start", start)
+    vertex = tuple(map(int, start))
+    assert (code, out, err) == (2, "", f"usage error: vertex {vertex} is not in the graph\n")
+
+
+# sha256 of stdout, computed before the walks moved to vertex ids.
+WALK_DIGESTS = {
+    ("seq", "01", ("11",), 16): (
+        "66cbe65cb2a9861eafba62aa560b3e0141ce96ae9f9fe823dcc97fcf6fea7cb1",
+        "8729f464e900b44d09f072dc18f993fa33268211bbad66f7c482f65cd3fff726"),
+    ("seq", "01", ("11",), 20): (
+        "aea056241dd455b35ca61ae9f6aee1f505772732e19c0669af35377811fae3d9",
+        "ebfe15c0c3dfcc25888a9028e3107cefebd2b63a13d4ca34496a1b3ba388453d"),
+    ("seq", "01", (), 11): (
+        "e20fd0e759f12463389278e5b4eca9b0f09552b01310a4859cdccbff7c804e8c",
+        "9809f0208b31c0b564db2eefa60bcca89018e68c9b7f7d5f197e98fb0e420bcd"),
+    ("seq", "012", ("22",), 7): (
+        "8f10df6793070f7c33f29d1552f7a35d15266838ab67809da9df7cfaf20d7d1b",
+        "40b96f8bdc1f5a61eb1eed817a65d896db2373e2c7ce84450109009ad04cc827"),
+    ("seq", "01", ("01111",), 11): (
+        "45a12fe3e57766fcb27b19a3defda039cbea91f88ea4e1189feef481f2098b84",
+        "744dcdab3de8380ed06390ea1015102f49fea32897d41393144813e968ae3e86"),
+    ("minimal", "01", ("11",), 16): (
+        "ff0e71f8ad4010b95239a74e029ffa15374cf361416ec88166e74e56dd1b91a6",
+        "88799e86dca169e634b0a6a3b6faebbe380074ac61c07096c2bfbdf1cbe8e3aa"),
+    ("minimal", "01", ("11",), 20): (
+        "ff572347dad0899a1683f34016575095f0054ba8934b002907652312587aa74b",
+        "0bd043b409921e1449514a135856564b8dbe587e9cad59f679c2ef4b2c26efec"),
+    ("minimal", "01", (), 11): (
+        "8a825353001151b881ff39ec3195d33071f01dc6f69b82d7143a6f6c43f15c9c",
+        "9809f0208b31c0b564db2eefa60bcca89018e68c9b7f7d5f197e98fb0e420bcd"),
+    ("minimal", "012", ("22",), 7): (
+        "f2188a49c57828b15a21d3d5abe1844fa5ada62abdda04d5df3421cced85ac80",
+        "9559cba7aacf92fd7ab7f262a4ece1837ef6f3bfa85f2ce25bb3d8936faef537"),
+    ("minimal", "01", ("01111",), 11): (
+        "287ef33d2fe25e3b8cb55b34b3d8b007f7698f9bf60a219d41a89adaf185c7df",
+        "a2c63e7902a3d2197ba930487f4b0ffd5389ebe92f2f8382f075fab27b634832"),
+}
+
+
+@pytest.mark.parametrize("key", WALK_DIGESTS, ids=lambda k: "-".join(map(str, k)))
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_walk_bytes_pinned(capsys, key, as_json):
+    command, alphabet, forbid, span = key
+    argv = [command, "--alphabet", alphabet, "--span", str(span)]
+    for f in forbid:
+        argv += ["--forbid", f]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == WALK_DIGESTS[key][as_json]
+
+
 def test_minimal(capsys):
     code, out, _ = run(capsys, "minimal", "--alphabet", "01", "--span", "3")
     assert code == 0

@@ -140,7 +140,8 @@ def test_span_digraph_components_are_closed_and_the_first_largest_wins(instance)
     found = _span_digraph(lang, n)
     if found is None:
         return
-    _, succ, inside, ties, best = found
+    _, first, heads, _, inside, ties, best = found
+    succ = [heads[first[v] : first[v + 1]] for v in range(len(inside))]
     comps = oracle_tarjan(range(len(succ)), lambda v: succ[v])
     comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
     assert all(comp_of[t] == comp_of[h] for t, heads in enumerate(succ) for h in heads)

@@ -31,6 +31,7 @@ from corpus import (
     avoid_sets,
     graph_of,
     oracle_exhaustion_order,
+    oracle_exhaustion_order_upward,
     oracle_functional_cycles,
     oracle_longest_overlap,
     oracle_obstructions,
@@ -220,7 +221,9 @@ def test_exhaustion_order_matches_reference():
     for spec in ALL_INSTANCES + random_instances(40):
         g = graph_of(spec)
         for avoid in avoid_sets(g, rng):
-            assert verify_exhaustion_order(g, avoid) == oracle_exhaustion_order(g, avoid), spec
+            report = verify_exhaustion_order(g, avoid)
+            assert report == oracle_exhaustion_order(g, avoid), spec
+            assert report == oracle_exhaustion_order_upward(g, avoid), spec
 
 
 def test_exhaustion_order_matches_reference_on_hand_built_graphs():
@@ -233,22 +236,26 @@ def test_exhaustion_order_matches_reference_on_hand_built_graphs():
                 continue
             reserved = {v: rng.choice(g.out_arcs(v)) for v in others}
             avoid = AvoidSet(root=root, arc_by_vertex=reserved)
-            assert verify_exhaustion_order(g, avoid) == oracle_exhaustion_order(g, avoid), g.arcs
+            report = verify_exhaustion_order(g, avoid)
+            assert report == oracle_exhaustion_order(g, avoid), g.arcs
+            assert report == oracle_exhaustion_order_upward(g, avoid), g.arcs
             compared += 1
     assert compared > 500
 
 
-def test_exhaustion_order_violations_match_reference(monkeypatch):
-    # Shuffled exhaustion times break the ordering fact, so both verifiers
-    # must report the same violations in the same order.
-    def shuffled(walk, g):
-        order = exhaustion_order(walk, g)
-        times = list(order.values())
-        random.Random(len(walk.steps)).shuffle(times)
-        return dict(zip(order, times))
+def shuffled_exhaustion_order(walk, g):
+    """Exhaustion times shuffled among the exhausted vertices: they break
+    the ordering fact."""
+    order = exhaustion_order(walk, g)
+    times = list(order.values())
+    random.Random(len(walk.steps)).shuffle(times)
+    return dict(zip(order, times))
 
-    monkeypatch.setattr(structure, "exhaustion_order", shuffled)
-    monkeypatch.setattr(corpus, "exhaustion_order", shuffled)
+
+def test_exhaustion_order_violations_match_reference(monkeypatch):
+    # Both verifiers must report the same violations in the same order.
+    monkeypatch.setattr(structure, "exhaustion_order", shuffled_exhaustion_order)
+    monkeypatch.setattr(corpus, "exhaustion_order", shuffled_exhaustion_order)
     rng = random.Random(11)
     flagged = 0
     for spec in ALL_INSTANCES:
@@ -256,8 +263,39 @@ def test_exhaustion_order_violations_match_reference(monkeypatch):
         for avoid in avoid_sets(g, rng):
             report = verify_exhaustion_order(g, avoid)
             assert report == oracle_exhaustion_order(g, avoid), spec
+            assert report == oracle_exhaustion_order_upward(g, avoid), spec
             flagged += not report.ok
     assert flagged
+
+
+def test_exhaustion_order_matches_upward_reference_at_scale(monkeypatch):
+    # The upward walk costs the sum of all depths, so it reaches spans the
+    # quadratic reference cannot, with random reservations as well.
+    rng = random.Random(17)
+
+    def reservations(g):
+        root = rng.choice(g.vertices)
+        reserved = {v: rng.choice(g.out_arcs(v)) for v in g.vertices if v != root}
+        return [analyze_max_arcs(g).avoid_set(), AvoidSet(root=root, arc_by_vertex=reserved)]
+
+    graphs = [graph_of(spec) for spec in [
+        ("01", ("11",), 16), ("01", ("00000",), 12), ("01", (), 11),
+        ("012", ("22",), 7), ("01", ("01111",), 11),
+    ]]
+    checks = 0
+    for g in graphs:
+        for avoid in reservations(g):
+            report = verify_exhaustion_order(g, avoid)
+            assert report == oracle_exhaustion_order_upward(g, avoid), g.vertices[-1]
+            checks += report.checks
+    assert checks > 100_000
+    monkeypatch.setattr(structure, "exhaustion_order", shuffled_exhaustion_order)
+    monkeypatch.setattr(corpus, "exhaustion_order", shuffled_exhaustion_order)
+    for g in graphs[:2]:
+        for avoid in reservations(g):
+            report = verify_exhaustion_order(g, avoid)
+            assert not report.ok
+            assert report == oracle_exhaustion_order_upward(g, avoid), g.vertices[-1]
 
 
 def test_floor_path_verifier_handles_restricted_floor_start():

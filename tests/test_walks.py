@@ -1,16 +1,21 @@
+import copy
+import pickle
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from debruijn_sft import (
     Arc,
     AvoidSet,
+    DeBruijnGraph,
     Language,
     NotEulerianError,
     Walk,
     analyze_max_arcs,
     build_graph,
+    count_eulerian_cycles,
     enumerate_words,
     eulerian_cycle,
     exhaustion_order,
@@ -20,6 +25,7 @@ from debruijn_sft import (
     walk_avoiding,
     walk_to_json,
 )
+from debruijn_sft.cli import main
 from debruijn_sft.language import Alphabet
 
 from corpus import (
@@ -29,8 +35,11 @@ from corpus import (
     cyclic_windows,
     graph_of,
     language_of,
+    nested_cycles_graph,
     oracle_eulerian_cycle,
     oracle_greedy_walk,
+    random_balanced_graphs,
+    random_hand_built_graphs,
     random_instances,
 )
 
@@ -99,6 +108,101 @@ def test_eulerian_cycle_disconnected_raises():
     ])
     with pytest.raises(NotEulerianError):
         eulerian_cycle(g, (0,))
+
+
+def same_circuit_as_oracle(g, start):
+    """eulerian_cycle from `start` equals the reference splice, or raises
+    the reference's error with the same message."""
+    try:
+        want = oracle_eulerian_cycle(g, start)
+    except NotEulerianError as exc:
+        with pytest.raises(NotEulerianError, match=f"^{re.escape(str(exc))}$"):
+            eulerian_cycle(g, start)
+        return str(exc).split()[0]
+    got = eulerian_cycle(g, start)
+    assert got == want
+    assert got.label == want.label and got.end == want.end == start
+    assert got.is_eulerian(g)
+    return "circuit"
+
+
+def test_eulerian_cycle_matches_reference_on_hand_built_graphs():
+    # Random labels and heads that are not shifts, self-loops, closed walks
+    # that revisit vertices, and disconnected graphs; then random arcs,
+    # which are mostly unbalanced.
+    seen = Counter()
+    balanced = random_balanced_graphs(400, seed=3)
+    for g in balanced:
+        for start in g.vertices:
+            seen[same_circuit_as_oracle(g, start)] += 1
+    for g in random_hand_built_graphs(300, seed=4):
+        seen[same_circuit_as_oracle(g, g.vertices[0])] += 1
+    assert len(balanced) >= 300
+    assert sum(any(a.tail == a.head for a in g.arcs) for g in balanced) > 100
+    assert seen["circuit"] > 500 and seen["only"] > 100 and seen["vertex"] > 100, seen
+
+
+def test_eulerian_cycle_splices_deeply_nested_subcycles():
+    # Each subcycle is spliced inside the one before it, 2,000 deep, past
+    # the default recursion limit.
+    g = nested_cycles_graph(2000)
+    walk = eulerian_cycle(g, g.vertices[0])
+    assert walk.label == (1,) * 2000 + (0,) * 2000
+    assert walk == oracle_eulerian_cycle(g, g.vertices[0])
+
+
+def test_eulerian_cycle_rejects_a_start_outside_the_graph():
+    g = build_graph(Language.from_text("01", ("11",)), 3)
+    for start in [(1, 1, 1), (0, 0), (0, 0, 0, 0), (0, 2, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"vertex {start} is not in the graph")):
+            eulerian_cycle(g, start)
+
+
+def test_walks_are_immutable_values():
+    g = build_graph(Language.from_text("01", ("11",)), 4)
+    walks = [minimal_walk(g), eulerian_cycle(g, g.max_vertex), Walk(g.max_vertex, g.out_arcs(g.max_vertex))]
+    for walk in walks:
+        for twin in (copy.copy(walk), copy.deepcopy(walk), pickle.loads(pickle.dumps(walk))):
+            assert twin == walk and hash(twin) == hash(walk)
+            assert (twin.label, twin.end, twin.is_eulerian(g)) == (walk.label, walk.end, walk.is_eulerian(g))
+        assert repr(walk) == f"Walk(start={walk.start!r}, steps={walk.steps!r})"
+        with pytest.raises(AttributeError):
+            walk.start = (0, 0, 0, 0)
+    assert walks[0] != walks[2] and walks[0] != (walks[0].start, walks[0].steps)
+
+
+def forbid_tuple_views(monkeypatch):
+    """Make any read of a graph's tuple views, or of a walk's Arcs, fail."""
+    def built(self):
+        raise AssertionError("a tuple view was built")
+
+    for name in ("vertices", "arcs", "out"):
+        monkeypatch.setattr(DeBruijnGraph, name, property(built))
+    monkeypatch.setattr(Walk, "steps", property(built))
+
+
+@pytest.mark.parametrize("spec", [
+    ("01", ("11",), 12), ("01", (), 6), ("012", ("22",), 4), ("01", ("01111",), 7),
+], ids=str)
+def test_walks_and_counts_read_only_the_id_tables(monkeypatch, spec):
+    g = graph_of(spec)
+    forbid_tuple_views(monkeypatch)
+    walk = minimal_walk(g)
+    assert walk.start == g.max_vertex and walk.label and walk.end
+    walk.is_eulerian(g)
+    cycle = eulerian_cycle(g, g.max_vertex)
+    assert cycle.is_eulerian(g) and cycle.end == g.max_vertex
+    assert count_eulerian_cycles(g, g.max_vertex) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq"], ["seq", "--json"], ["seq", "--start", "00000"], ["minimal"], ["minimal", "--json"],
+    ["count"], ["count", "--json"],
+], ids=" ".join)
+def test_seq_minimal_and_count_build_no_tuples(monkeypatch, capsys, argv):
+    forbid_tuple_views(monkeypatch)
+    code = main(argv[:1] + ["--alphabet", "01", "--forbid", "11", "--span", "5"] + argv[1:])
+    assert code == 0, capsys.readouterr().err
 
 
 def test_minimal_walk_full_binary():
