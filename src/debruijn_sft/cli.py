@@ -30,6 +30,7 @@ from .structure import (
     analysis_to_json,
     analyze_max_arcs,
     check_cycle_label_blocks,
+    classify_vertex,
     decide_minimal_is_eulerian,
     verify_cycle_structure,
     verify_exhaustion_order,
@@ -129,14 +130,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
     t = decision.analysis
     alpha = g.alphabet
-    print(f"vertices {len(g.vertices)}")
-    print(f"arcs {len(g.arcs)}")
+    print(f"vertices {len(g.ranks)}")
+    print(f"arcs {len(g.heads)}")
     print(f"max-vertex {alpha.text(g.max_vertex)}")
     print(f"minimal-eulerian {'true' if decision.answer else 'false'}")
     print(f"via-tree {'true' if decision.via_tree else 'false'}")
     print(f"via-obstructions {'true' if decision.via_obstructions else 'false'}")
     for cyc in decision.cycles:
-        labels = "".join(alpha.symbols[t.max_label[v]] for v in cyc)
+        labels = "".join(alpha.symbols[classify_vertex(t, v).max_label] for v in cyc)
         print(f"cycle {'>'.join(alpha.text(v) for v in cyc)} label {labels}")
     for o in decision.obstructions:
         blocks = "".join(f"({alpha.text(h)}|{alpha.symbols[b]})" for h, b in o.blocks)

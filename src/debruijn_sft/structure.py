@@ -19,33 +19,80 @@ Per-vertex data, with m the maximal vertex:
   floor           overlap(u) is empty
   restricted      max_label(u) < overlap_next(u)
 
-The max-arc cycles come from one pass that stamps each vertex with the walk
-that first reached it.
+The analysis, the obstruction search and the verifiers that read an
+analysis run on the graph's vertex and arc ids and on integer word ranks.
+Word tuples and `Arc`s are made only for what is returned or printed as
+words: the cycles, the obstructions, violation texts, and the word-keyed
+fields of `MaxArcAnalysis`, which are views made on first read. The
+exhaustion-order check takes an `AvoidSet` keyed by words, so it reads
+those views and the graph's. The max-arc cycles come from one pass that
+stamps each vertex with the walk that first reached it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from operator import sub
 
 from .errors import TheoremViolationError
 from .graph import Arc, DeBruijnGraph
-from .language import Language, Word, _automaton
+from .language import Language, Word, _automaton, decode_ranks, encode_word
 from .walks import AvoidSet, exhaustion_order, minimal_walk, walk_avoiding
 
 
 @dataclass(frozen=True, eq=False)
 class MaxArcAnalysis:
+    """The max-arc subgraph of a graph and each vertex's overlap data.
+
+    The analysis lives on the graph's vertex ids. `_arc[v]` is the id of
+    v's maximum out-arc and `_state[v]` the length of v's overlap, read
+    from v's own letters; both are -1 at the root, the last id. `_cycles`
+    holds the cycles on ids, in the order of `cycles`. `max_arc`,
+    `overlap`, `overlap_next`, `max_label`, `floor` and `restricted` hold
+    the same data keyed by vertex words; each is made from the id tables
+    when first read and kept, as the graph's own tuple views are.
+    """
+
     graph: DeBruijnGraph
     root: Word
-    max_arc: dict[Word, Arc]        # v != root -> maximum-label out-arc
-    overlap: dict[Word, Word]
-    overlap_next: dict[Word, int]
-    max_label: dict[Word, int]
-    floor: frozenset[Word]
-    restricted: frozenset[Word]
     cycles: tuple[tuple[Word, ...], ...]   # each starts at its minimal vertex
     is_tree: bool
+    _arc: list[int] = field(repr=False)
+    _state: list[int] = field(repr=False)
+    _cycles: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def max_arc(self) -> dict[Word, Arc]:        # v != root -> maximum-label out-arc
+        arcs = self.graph.arcs
+        return dict(zip(self.graph.vertices[:-1], map(arcs.__getitem__, self._arc[:-1])))
+
+    @cached_property
+    def overlap(self) -> dict[Word, Word]:
+        prefixes = [self.root[:s] for s in range(len(self.root))]
+        return dict(zip(self.graph.vertices[:-1], map(prefixes.__getitem__, self._state[:-1])))
+
+    @cached_property
+    def overlap_next(self) -> dict[Word, int]:
+        return dict(zip(self.graph.vertices[:-1], map(self.root.__getitem__, self._state[:-1])))
+
+    @cached_property
+    def max_label(self) -> dict[Word, int]:
+        labels = self.graph.labels
+        return dict(zip(self.graph.vertices[:-1], map(labels.__getitem__, self._arc[:-1])))
+
+    @cached_property
+    def floor(self) -> frozenset[Word]:
+        return frozenset(v for v, s in zip(self.graph.vertices, self._state[:-1]) if not s)
+
+    @cached_property
+    def restricted(self) -> frozenset[Word]:
+        labels, root = self.graph.labels, self.root
+        return frozenset(
+            v for v, a, s in zip(self.graph.vertices, self._arc[:-1], self._state[:-1])
+            if labels[a] < root[s]
+        )
 
     def avoid_set(self) -> AvoidSet:
         return AvoidSet(root=self.root, arc_by_vertex=self.max_arc)
@@ -93,84 +140,114 @@ class VerificationReport:
         return not self.violations
 
 
-def _functional_cycles(
-    vertices: tuple[Word, ...], exit_arc: Mapping[Word, Arc]
-) -> list[list[Word]]:
-    """Cycles of the functional graph v -> exit_arc[v].head, each in walk
-    order; vertices without an exit arc end their paths. A walk that stops
-    on a vertex it stamped itself has closed a cycle."""
-    start: dict[Word, int] = {}
-    cycles: list[list[Word]] = []
-    for i, v in enumerate(vertices):
-        path: list[Word] = []
-        cur: Word | None = v
-        while cur is not None and cur not in start:
+def _functional_cycles(succ: list[int]) -> list[list[int]]:
+    """Cycles of the functional graph v -> succ[v] on ids, each in walk
+    order; a negative successor ends a path. A walk that stops on a vertex
+    it stamped itself has closed a cycle."""
+    start = [-1] * len(succ)
+    cycles: list[list[int]] = []
+    for i in range(len(succ)):
+        path: list[int] = []
+        cur = i
+        while cur >= 0 and start[cur] < 0:
             start[cur] = i
             path.append(cur)
-            arc = exit_arc.get(cur)
-            cur = None if arc is None else arc.head
-        if cur is not None and start[cur] == i:
+            cur = succ[cur]
+        if cur >= 0 and start[cur] == i:
             cycles.append(path[path.index(cur) :])
     return cycles
 
 
+def _overlap_states(g: DeBruijnGraph, goto: list[list[int]]) -> list[int]:
+    """The automaton state after each vertex's own letters, read from the
+    start state, by id.
+
+    A vertex's word is its high half then its low half, read as base-k
+    digits of its rank. Each distinct high half is read once, and each
+    distinct (state after the high half, low half) pair once, so vertices
+    that share halves share the reading.
+    """
+    k, n = g.alphabet.size, g.span
+    low = n // 2
+    step = k ** low
+    hi_places = [k ** i for i in range(n - low - 1, -1, -1)]
+    lo_places = [k ** i for i in range(low - 1, -1, -1)]
+    after_hi: dict[int, int] = {}
+    after: dict[int, int] = {}   # by (state after the high half) * step + low half
+    states = []
+    for r in g.ranks:
+        hi, lo = divmod(r, step)
+        s = after_hi.get(hi)
+        if s is None:
+            s = 0
+            for p in hi_places:
+                s = goto[s][hi // p % k]
+            after_hi[hi] = s
+        key = s * step + lo
+        t = after.get(key)
+        if t is None:
+            t = s
+            for p in lo_places:
+                t = goto[t][lo // p % k]
+            after[key] = t
+        states.append(t)
+    return states
+
+
 def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
     root = g.max_vertex
+    top = len(g.ranks) - 1   # the root's id
+    degrees = list(map(sub, g.first[1:], g.first))
+    if 0 in degrees[:top]:
+        v = g.word_of(degrees.index(0))
+        raise ValueError(f"vertex {v} has no out-arc; graph is not analyzable")
     # On one word the automaton is the Knuth-Morris-Pratt matcher of m; only
-    # u == m would reach its dead state.
-    goto = _automaton(Language(g.alphabet, frozenset({root})))
-    prefixes = [root[:s] for s in range(len(root))]
-    max_arc: dict[Word, Arc] = {}
-    overlap: dict[Word, Word] = {}
-    overlap_next: dict[Word, int] = {}
-    max_label: dict[Word, int] = {}
-    for v in g.vertices:
-        if v == root:
-            continue
-        arcs = g.out_arcs(v)
-        if not arcs:
-            raise ValueError(f"vertex {v} has no out-arc; graph is not analyzable")
-        max_arc[v] = arcs[-1]
-        max_label[v] = arcs[-1].label
-        s = 0
-        for a in v:
-            s = goto[s][a]
-        overlap[v] = prefixes[s]
-        overlap_next[v] = root[s]
-    floor = frozenset(v for v, ov in overlap.items() if not ov)
-    restricted = frozenset(v for v in max_arc if max_label[v] < overlap_next[v])
+    # u == m reaches its dead state, -1, so the root's state is -1.
+    state = _overlap_states(g, _automaton(Language(g.alphabet, frozenset({root}))))
+    arc = [f - 1 for f in g.first[1:]]
+    arc[top] = -1
+    return _analysis(g, arc, state)
 
+
+def _analysis(g: DeBruijnGraph, arc: list[int], state: list[int]) -> MaxArcAnalysis:
+    """The analysis with the given max-arc and overlap-state tables, and
+    the cycles of those arcs."""
+    top = len(arc) - 1
+    succ = [g.heads[a] for a in arc]
+    succ[top] = -1
     # The root has no exit, so paths either reach it or wind into a cycle.
+    # Ids follow word order, so the least id starts each cycle and id
+    # tuples sort as the word tuples do.
     cycles = []
-    for cyc in _functional_cycles(g.vertices, max_arc):
-        k = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[k:] + cyc[:k]))
+    for cyc in _functional_cycles(succ):
+        i = cyc.index(min(cyc))
+        cycles.append(tuple(cyc[i:] + cyc[:i]))
     cycles.sort()
+    words = iter(decode_ranks([g.ranks[v] for cyc in cycles for v in cyc], g.alphabet.size, g.span))
     return MaxArcAnalysis(
         graph=g,
-        root=root,
-        max_arc=max_arc,
-        overlap=overlap,
-        overlap_next=overlap_next,
-        max_label=max_label,
-        floor=floor,
-        restricted=restricted,
-        cycles=tuple(cycles),
+        root=g.max_vertex,
+        cycles=tuple(tuple(next(words) for _ in cyc) for cyc in cycles),
         is_tree=not cycles,
+        _arc=arc,
+        _state=state,
+        _cycles=tuple(cycles),
     )
 
 
 def classify_vertex(t: MaxArcAnalysis, v: Word) -> VertexClass:
     if v == t.root:
         raise ValueError("the root has no classification")
-    if v not in t.max_arc:
+    i = t.graph.id_of(v)
+    if i is None:
         raise ValueError(f"vertex {v} is not in the graph")
+    s, label = t._state[i], t.graph.labels[t._arc[i]]
     return VertexClass(
-        overlap=t.overlap[v],
-        overlap_next=t.overlap_next[v],
-        max_label=t.max_label[v],
-        is_floor=v in t.floor,
-        is_restricted=v in t.restricted,
+        overlap=t.root[:s],
+        overlap_next=t.root[s],
+        max_label=label,
+        is_floor=not s,
+        is_restricted=label < t.root[s],
     )
 
 
@@ -178,18 +255,48 @@ def classify_vertex(t: MaxArcAnalysis, v: Word) -> VertexClass:
 # Lemma-level verifiers. Each replays one structural fact over the whole
 # graph and reports violations; all must come back empty.
 
-def _max_arc_labels(t: MaxArcAnalysis, start: Word, k: int) -> Word:
-    """Labels of the first k max arcs on the walk from start; fewer when
-    the walk reaches the root first."""
-    labels = []
-    cur = start
-    for _ in range(k):
-        arc = t.max_arc.get(cur)
-        if arc is None:
-            break
-        labels.append(arc.label)
-        cur = arc.head
-    return tuple(labels)
+def _max_labels(t: MaxArcAnalysis) -> list[int]:
+    """The label of each vertex's max arc, by id; -1 at the root."""
+    labels = t.graph.labels
+    out = [labels[a] for a in t._arc]
+    out[-1] = -1
+    return out
+
+
+def _ahead(t: MaxArcAnalysis, steps: int) -> list[int]:
+    """The vertex each vertex reaches by `steps` max arcs, by id; -1 when
+    its walk reaches the root in fewer steps.
+
+    One pass down from the root and from each cycle vertex, keeping the
+    path back up, so the answer is read off that path; past a cycle
+    vertex the walk goes on around its cycle.
+    """
+    g = t.graph
+    heads = g.heads
+    on_cycle = [False] * len(t._arc)
+    bases = [(len(t._arc) - 1, (), 0)]   # (vertex, its cycle, its place there)
+    for cyc in t._cycles:
+        for j, v in enumerate(cyc):
+            on_cycle[v] = True
+            bases.append((v, cyc, j))
+    below: list[list[int]] = [[] for _ in t._arc]
+    for v, a in enumerate(t._arc[:-1]):
+        if not on_cycle[v]:
+            below[heads[a]].append(v)
+    out = [-1] * len(t._arc)
+    for base, cyc, j in bases:
+        path: list[int] = []
+        todo = [(base, 0)]
+        while todo:
+            v, depth = todo.pop()
+            del path[depth:]
+            path.append(v)
+            if depth >= steps:
+                out[v] = path[depth - steps]
+            elif cyc:
+                out[v] = cyc[(j + steps - depth) % len(cyc)]
+            todo.extend((u, depth + 1) for u in below[v])
+    return out
 
 
 def verify_label_monotonicity(t: MaxArcAnalysis) -> VerificationReport:
@@ -197,16 +304,17 @@ def verify_label_monotonicity(t: MaxArcAnalysis) -> VerificationReport:
     exceeds the label taken span+1 steps later."""
     g = t.graph
     length = g.span + 2
+    label = _max_labels(t)
     checks = 0
     violations = []
-    for v in g.vertices:
-        labels = _max_arc_labels(t, v, length)
-        if len(labels) < length:
+    # A walk that ends at the root within span+1 steps makes no check.
+    for v, u in enumerate(_ahead(t, length - 1)):
+        if u < 0 or label[u] < 0:
             continue
         checks += 1
-        if labels[0] > labels[-1]:
+        if label[v] > label[u]:
             violations.append(
-                f"walk from {v}: first label {labels[0]} > label {labels[-1]} "
+                f"walk from {g.word_of(v)}: first label {label[v]} > label {label[u]} "
                 f"at step {length}"
             )
     return VerificationReport("label-monotonicity", checks, tuple(violations))
@@ -217,24 +325,25 @@ def verify_cycle_structure(t: MaxArcAnalysis) -> VerificationReport:
     word u plus its max label equals the loop label read from u's
     successor, repeated; restricted and floor counts agree per cycle."""
     n = t.graph.span
+    label = _max_labels(t)
     checks = 0
     violations = []
-    for cyc in t.cycles:
+    for cyc, ids in zip(t.cycles, t._cycles):
         checks += 1
         if (n + 1) % len(cyc) != 0:
             violations.append(f"cycle {cyc}: length {len(cyc)} does not divide {n + 1}")
             continue
         reps = (n + 1) // len(cyc)
-        for u in cyc:
-            succ = t.max_arc[u].head
-            expected = _max_arc_labels(t, succ, len(cyc)) * reps
-            if u + (t.max_label[u],) != expected:
+        loop = tuple(label[v] for v in ids)   # read from the cycle's first vertex
+        for i, u in enumerate(cyc):
+            expected = (loop[i + 1 :] + loop[: i + 1]) * reps
+            if u + (loop[i],) != expected:
                 violations.append(
-                    f"cycle {cyc}: vertex {u} with label {t.max_label[u]} "
+                    f"cycle {cyc}: vertex {u} with label {loop[i]} "
                     f"is not the repeated loop label {expected}"
                 )
-        n_restricted = sum(1 for u in cyc if u in t.restricted)
-        n_floor = sum(1 for u in cyc if u in t.floor)
+        n_restricted = sum(1 for v in ids if label[v] < t.root[t._state[v]])
+        n_floor = sum(1 for v in ids if not t._state[v])
         if n_restricted != n_floor:
             violations.append(
                 f"cycle {cyc}: {n_restricted} restricted but {n_floor} floor vertices"
@@ -244,54 +353,81 @@ def verify_cycle_structure(t: MaxArcAnalysis) -> VerificationReport:
 
 def verify_overlap_bounds(t: MaxArcAnalysis) -> VerificationReport:
     """Arc labels never exceed overlap_next of the tail; strictly smaller
-    labels land on floor vertices, equal labels extend the overlap."""
+    labels land on floor vertices, equal labels extend the overlap.
+
+    overlap(u) is m[:state(u)], so the head's overlap extends the tail's
+    by a label equal to overlap_next exactly when the head's state is one
+    more than the tail's."""
     g = t.graph
-    root = t.root
+    m, state = t.root, t._state
+    first, heads, labels = g.first, g.heads, g.labels
+    top = len(state) - 1   # the root, whose arcs come last
     checks = 0
     violations = []
-    for a in g.arcs:
-        if a.tail == root:
-            continue
-        checks += 1
-        cap = t.overlap_next[a.tail]
-        if a.label > cap:
-            violations.append(f"arc {a}: label exceeds bound {cap}")
-            continue
-        if a.head == root:
-            continue
-        if a.label < cap and t.overlap[a.head] != ():
-            violations.append(f"arc {a}: low label but head overlap is nonempty")
-        if a.label == cap and t.overlap[a.head] != t.overlap[a.tail] + (a.label,):
-            violations.append(f"arc {a}: head overlap does not extend tail overlap")
+    for v in range(top):
+        s = state[v]
+        cap = m[s]
+        for i in range(first[v], first[v + 1]):
+            checks += 1
+            x, h = labels[i], heads[i]
+            if x > cap:
+                violations.append(f"arc {_arc_at(g, v, i)}: label exceeds bound {cap}")
+                continue
+            if h == top:
+                continue
+            if x < cap and state[h]:
+                violations.append(f"arc {_arc_at(g, v, i)}: low label but head overlap is nonempty")
+            if x == cap and state[h] != s + 1:
+                violations.append(f"arc {_arc_at(g, v, i)}: head overlap does not extend tail overlap")
     return VerificationReport("overlap-bounds", checks, tuple(violations))
+
+
+def _arc_at(g: DeBruijnGraph, v: int, i: int) -> Arc:
+    """Arc id i, out of vertex id v, as an `Arc`."""
+    return Arc(g.word_of(v), g.labels[i], g.word_of(g.heads[i]))
 
 
 def verify_floor_paths(t: MaxArcAnalysis) -> VerificationReport:
     """Max-arc paths from a floor vertex through unrestricted interior
-    vertices spell exactly the overlap of their endpoint."""
+    vertices spell exactly the overlap of their endpoint.
+
+    overlap(u) is m[:state(u)], so a path's label equals it exactly when
+    the label is still a prefix of m and its length is u's state: one
+    comparison per step."""
+    g = t.graph
+    m, state, arc = t.root, t._state, t._arc
+    heads = g.heads
+    label = _max_labels(t)
+    n = len(m)
+    top = len(state) - 1   # the root
+    seen = [-1] * len(state)   # the floor vertex whose path last met each vertex
     checks = 0
     violations = []
-    for f in sorted(t.floor):
-        labels: list[int] = []
-        visited = {f}
+    for f in range(top):   # ids follow word order
+        if state[f]:
+            continue
+        seen[f] = f
+        spelled: list[int] = []
+        prefix = True   # spelled == m[:len(spelled)]
         cur = f
         while True:
-            if cur != t.root and tuple(labels) != t.overlap[cur]:
+            if cur != top and not (prefix and state[cur] == len(spelled)):
                 violations.append(
-                    f"path from {f} to {cur}: label {tuple(labels)} != overlap "
-                    f"{t.overlap[cur]}"
+                    f"path from {g.word_of(f)} to {g.word_of(cur)}: label {tuple(spelled)} "
+                    f"!= overlap {m[: state[cur]]}"
                 )
             checks += 1
             # The endpoint becomes an interior vertex on the next step, so
             # stop extending at the root or at a restricted vertex.
-            if cur == t.root or cur in t.restricted:
+            x = label[cur]
+            if cur == top or x < m[state[cur]]:
                 break
-            arc = t.max_arc[cur]
-            labels.append(arc.label)
-            cur = arc.head
-            if cur in visited:
+            prefix = prefix and len(spelled) < n and x == m[len(spelled)]
+            spelled.append(x)
+            cur = heads[arc[cur]]
+            if seen[cur] == f:
                 break
-            visited.add(cur)
+            seen[cur] = f
     return VerificationReport("floor-paths", checks, tuple(violations))
 
 
@@ -303,7 +439,10 @@ def check_cycle_label_blocks(t: MaxArcAnalysis, cycle: tuple[Word, ...]) -> Veri
     if cycle not in t.cycles:
         raise ValueError("not a cycle of this analysis")
     n = t.graph.span
-    rest = [u for u in cycle if u in t.restricted]
+    m, state = t.root, t._state
+    label = _max_labels(t)
+    ids = t._cycles[t.cycles.index(cycle)]
+    rest = [(u, v) for u, v in zip(cycle, ids) if label[v] < m[state[v]]]
     if not rest:
         return VerificationReport(
             "cycle-label-blocks", 1, (f"cycle {cycle} has no restricted vertex",)
@@ -312,19 +451,19 @@ def check_cycle_label_blocks(t: MaxArcAnalysis, cycle: tuple[Word, ...]) -> Veri
     k = len(rest)
     checks = 0
     violations = []
-    for i, u in enumerate(rest):
+    for i, (u, v) in enumerate(rest):
         checks += 1
         loop: list[int] = []
         for j in range(1, k + 1):
-            w = rest[(i + j) % k]
-            loop.extend(t.overlap[w] + (t.max_label[w],))
+            w = rest[(i + j) % k][1]
+            loop.extend(m[: state[w]] + (label[w],))
         if len(loop) != len(cycle):
             violations.append(
                 f"cycle {cycle}: blocks after {u} spell {len(loop)} letters, "
                 f"cycle has {len(cycle)}"
             )
             continue
-        if tuple(loop) * reps != u + (t.max_label[u],):
+        if tuple(loop) * reps != u + (label[v],):
             violations.append(f"cycle {cycle}: block spelling mismatch at {u}")
     return VerificationReport("cycle-label-blocks", checks, tuple(violations))
 
@@ -345,18 +484,23 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
     walk = walk_avoiding(g, avoid)
     order = exhaustion_order(walk, g)
     reserved = avoid.arc_by_vertex
-    on_cycle = {v for cyc in _functional_cycles(g.vertices, reserved) for v in cyc}
+    vertices = g.vertices
+    ids = dict(zip(vertices, range(len(vertices))))
+    succ = [-1] * len(vertices)
+    for v, a in reserved.items():
+        succ[ids[v]] = ids[a.head]
+    on_cycle = {vertices[v] for cyc in _functional_cycles(succ) for v in cyc}
     parent = {
         v: a.head for v, a in reserved.items()
         if v not in on_cycle and a.head not in on_cycle
     }
-    never = len(g.arcs) + 1   # later than any exhaustion time
+    never = len(g.heads) + 1   # later than any exhaustion time
     # above[v]: (exhausted vertices among v and the vertices above it,
     # the earliest time among them)
     above: dict[Word, tuple[int, int]] = {}
     checks = 0
     late_vertices = []
-    for u in g.vertices:
+    for u in vertices:
         path = []
         v: Word | None = u
         while v is not None and v not in above:
@@ -391,35 +535,49 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
 # ---------------------------------------------------------------------------
 # Independent criterion: obstruction words.
 
-def _split_blocks(w: Word, g: DeBruijnGraph) -> tuple[tuple[Word, int], ...] | None:
-    """The block decomposition of w, or None when w has none or a block's
-    letter can be raised without leaving the language.
+def _block_lengths(w: Word, may_end: list[bool], m: Word) -> list[int]:
+    """For each letter q of the circular word w, the length of the one
+    block that can start there, or 0 when none can.
 
     A block is a proper prefix of the maximal vertex m followed by a letter
-    below m's next letter, so from each position the only candidate block
-    ends at the first letter where w departs from m: the decomposition is
-    a parse.
+    below m's next letter, so the only candidate block ends at the first
+    letter where w departs from m. may_end[q] says whether a block may end
+    at letter q, that is whether no larger letter there stays in the
+    language.
     """
-    m = g.max_vertex
-    n = len(m)
-    blocks: list[tuple[Word, int]] = []
-    i = 0
-    while i < len(w):
-        k = 0
-        while k < n and i + k < len(w) and w[i + k] == m[k]:
-            k += 1
-        p = i + k
-        if k == n or p == len(w) or w[p] > m[k]:
+    n, size = len(m), len(w)
+    ww = w + w   # a block is shorter than w
+    out = []
+    for q in range(size):
+        s = 0
+        while s < n and ww[q + s] == m[s]:
+            s += 1
+        p = q + s
+        out.append(s + 1 if s < n and ww[p] < m[s] and may_end[p % size] else 0)
+    return out
+
+
+def _split_blocks(
+    w: Word, j: int, block: list[int], m: Word,
+) -> tuple[tuple[Word, int], ...] | None:
+    """The block decomposition of the rotation of w by j places, read from
+    its block lengths; None when it has none. The decomposition is a
+    parse: from each position the only candidate is the block that starts
+    there, and the last block must end at the rotation's last letter."""
+    size = len(w)
+    p, end = j, j + size
+    while p < end:
+        if not block[p % size]:
             return None
-        # The rotation of w ending at this block's letter spells an arc out
-        # of `rest`; a larger letter is in the language exactly when `rest`
-        # has an out-arc with a larger label.
-        rest = w[p + 1 :] + w[:p]
-        arcs = g.out_arcs(rest)
-        if arcs and arcs[-1].label > w[p]:
-            return None
-        blocks.append((w[i:p], w[p]))
-        i = p + 1
+        p += block[p % size]
+    if p != end:
+        return None
+    blocks = []
+    p = j
+    while p < end:
+        b = block[p % size]
+        blocks.append((m[: b - 1], w[(p + b - 1) % size]))
+        p += b
     return tuple(blocks)
 
 
@@ -429,27 +587,53 @@ def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
 
     Parses each rotation into blocks, independent of the max-arc subgraph.
     The outcome depends only on a word's rotation class, so one table maps
-    every rotation of each class seen to the class's witness, or to None.
+    the rank of every rotation of each class seen to the class's witness,
+    or to None. Rotating the word of rank c by one place gives rank
+    (c % k**n) * k + c // k**n, whose first letter is c // k**n. So a
+    class's letters, and one flag per letter for whether a block may end
+    there, come from its rotations' ranks; the obstruction words found are
+    the only words decoded.
     """
-    witness: dict[Word, tuple[Word, tuple[tuple[Word, int], ...]] | None] = {}
-    out: list[Obstruction] = []
-    for a in g.arcs:   # sorted by (tail, label), so words come out in order
-        w = a.tail + (a.label,)
-        if w not in witness:
-            rots = [w[r:] + w[:r] for r in range(len(w))]
-            hit = None
-            for cand in sorted(set(rots)):
-                blocks = _split_blocks(cand, g)
-                if blocks is not None:
-                    hit = (cand, blocks)
-                    break
-            witness.update(dict.fromkeys(rots, hit))
-        hit = witness[w]
-        if hit is not None:
-            rotated, blocks = hit
-            r = next(r for r in range(len(w)) if w[r:] + w[:r] == rotated)
-            out.append(Obstruction(word=w, rotation=r, blocks=blocks))
-    return tuple(out)
+    k, n = g.alphabet.size, g.span
+    size = k ** n
+    m = g.max_vertex
+    first, labels = g.first, g.labels
+    # The label of each vertex's maximum out-arc, by vertex rank.
+    top = {r: labels[f - 1] for r, e, f in zip(g.ranks, first, first[1:]) if e < f}
+    witness: dict[int, tuple[int, tuple[tuple[Word, int], ...]] | None] = {}
+    found: list[tuple[int, int, tuple[tuple[Word, int], ...]]] = []
+    for v, r in enumerate(g.ranks):   # arc order, so words come out in order
+        for i in range(first[v], first[v + 1]):
+            c = r * k + labels[i]
+            if c not in witness:
+                rots = [c]
+                for _ in range(n):
+                    d = rots[-1]
+                    rots.append((d % size) * k + d // size)
+                w = tuple([d // size for d in rots])
+                # Letter q ends the arc word of the rotation after it: its tail
+                # is that rotation's first n letters.
+                may_end = [top.get(d // k, -1) <= d % k for d in rots[1:] + rots[:1]]
+                block = _block_lengths(w, may_end, m)
+                hit = None
+                for cand in sorted(set(rots)):
+                    blocks = _split_blocks(w, rots.index(cand), block, m)
+                    if blocks is not None:
+                        hit = (cand, blocks)
+                        break
+                witness.update(dict.fromkeys(rots, hit))
+            hit = witness[c]
+            if hit is not None:
+                rotation, d = 0, c
+                while d != hit[0]:
+                    rotation += 1
+                    d = (d % size) * k + d // size
+                found.append((c, rotation, hit[1]))
+    words = decode_ranks([c for c, _, _ in found], k, n + 1)
+    return tuple(
+        Obstruction(word=w, rotation=rotation, blocks=blocks)
+        for w, (_, rotation, blocks) in zip(words, found)
+    )
 
 
 def decide_minimal_is_eulerian(g: DeBruijnGraph) -> Decision:
@@ -487,22 +671,31 @@ def verify_greedy_decision(decision: Decision) -> VerificationReport:
         violations.append(
             f"decision {decision.answer} but greedy walk eulerian={walk.is_eulerian(g)}"
         )
+    label = _max_labels(t)
     obstruction_words = {o.word for o in decision.obstructions}
-    for cyc in t.cycles:
+    for cyc, ids in zip(t.cycles, t._cycles):
         divides = (g.span + 1) % len(cyc) == 0
-        for u in cyc:
+        for u, v in zip(cyc, ids):
             checks += 1
-            if not divides or u + (t.max_label[u],) not in obstruction_words:
+            if not divides or u + (label[v],) not in obstruction_words:
                 violations.append(f"cycle word for {u} missing from obstructions")
+    # Each rotation, as a rank c, must be the max arc of its tail c // k,
+    # with label c % k and head c % k**n.
+    k = g.alphabet.size
+    size = k ** g.span
+    ranks, heads = g.ranks, g.heads
     for o in decision.obstructions:
         w = o.word
+        c = encode_word(w, k)
         for r in range(len(w)):
-            rot = w[r:] + w[:r]
             checks += 1
-            if t.max_arc.get(rot[:-1]) != (rot[:-1], rot[-1], rot[1:]):
+            v = bisect_left(ranks, c // k)
+            a = t._arc[v] if v < len(ranks) and ranks[v] == c // k else -1
+            if a < 0 or g.labels[a] != c % k or ranks[heads[a]] != c % size:
                 violations.append(
-                    f"obstruction {w}: rotation {rot} is not a max-arc of the graph"
+                    f"obstruction {w}: rotation {w[r:] + w[:r]} is not a max-arc of the graph"
                 )
+            c = (c % size) * k + c // size
     return VerificationReport("greedy-decision", checks, tuple(violations))
 
 
@@ -529,7 +722,7 @@ def analysis_to_json(decision: Decision) -> dict:
         "cycles": [
             {
                 "vertices": [alpha.text(v) for v in cyc],
-                "label": alpha.text(_max_arc_labels(t, cyc[0], len(cyc))),
+                "label": alpha.text(tuple(t.max_label[v] for v in cyc)),
             }
             for cyc in t.cycles
         ],

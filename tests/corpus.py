@@ -30,9 +30,9 @@ from debruijn_sft import (
     check_irreducible,
     exhaustion_order,
     graph_from_arcs,
+    minimal_walk,
     walk_avoiding,
 )
-from debruijn_sft.structure import _split_blocks
 from debruijn_sft.walks import check_balanced
 
 # Instances where the span-level irreducibility check passes; safe for
@@ -521,6 +521,208 @@ def oracle_functional_cycles(
     return cycles
 
 
+def oracle_analyze_max_arcs(g: DeBruijnGraph) -> dict:
+    """Tuple reference for structure.analyze_max_arcs: its word-keyed
+    fields by name, from each vertex's out-arcs, the slice-search overlap
+    and the dict-based cycle search. Raises the same ValueError for a
+    vertex with no out-arc."""
+    root = g.max_vertex
+    max_arc: dict[Word, Arc] = {}
+    overlap: dict[Word, Word] = {}
+    for v in g.vertices:
+        if v == root:
+            continue
+        arcs = g.out_arcs(v)
+        if not arcs:
+            raise ValueError(f"vertex {v} has no out-arc; graph is not analyzable")
+        max_arc[v] = arcs[-1]
+        overlap[v] = oracle_longest_overlap(v, root)
+    max_label = {v: a.label for v, a in max_arc.items()}
+    overlap_next = {v: root[len(ov)] for v, ov in overlap.items()}
+    cycles = []
+    for cyc in oracle_functional_cycles(g.vertices, max_arc):
+        k = cyc.index(min(cyc))
+        cycles.append(tuple(cyc[k:] + cyc[:k]))
+    cycles.sort()
+    return {
+        "root": root,
+        "max_arc": max_arc,
+        "overlap": overlap,
+        "overlap_next": overlap_next,
+        "max_label": max_label,
+        "floor": frozenset(v for v, ov in overlap.items() if not ov),
+        "restricted": frozenset(v for v in max_arc if max_label[v] < overlap_next[v]),
+        "cycles": tuple(cycles),
+        "is_tree": not cycles,
+    }
+
+
+def oracle_max_arc_labels(t, start: Word, k: int) -> Word:
+    """Labels of the first k max arcs on the walk from start; fewer when
+    the walk reaches the root first."""
+    labels = []
+    cur = start
+    for _ in range(k):
+        arc = t.max_arc.get(cur)
+        if arc is None:
+            break
+        labels.append(arc.label)
+        cur = arc.head
+    return tuple(labels)
+
+
+# Tuple references for the verifiers that read a MaxArcAnalysis. They read
+# its word-keyed views, and walk each path afresh.
+
+def oracle_label_monotonicity(t) -> VerificationReport:
+    g = t.graph
+    length = g.span + 2
+    checks = 0
+    violations = []
+    for v in g.vertices:
+        labels = oracle_max_arc_labels(t, v, length)
+        if len(labels) < length:
+            continue
+        checks += 1
+        if labels[0] > labels[-1]:
+            violations.append(
+                f"walk from {v}: first label {labels[0]} > label {labels[-1]} "
+                f"at step {length}"
+            )
+    return VerificationReport("label-monotonicity", checks, tuple(violations))
+
+
+def oracle_cycle_structure(t) -> VerificationReport:
+    n = t.graph.span
+    checks = 0
+    violations = []
+    for cyc in t.cycles:
+        checks += 1
+        if (n + 1) % len(cyc) != 0:
+            violations.append(f"cycle {cyc}: length {len(cyc)} does not divide {n + 1}")
+            continue
+        reps = (n + 1) // len(cyc)
+        for u in cyc:
+            succ = t.max_arc[u].head
+            expected = oracle_max_arc_labels(t, succ, len(cyc)) * reps
+            if u + (t.max_label[u],) != expected:
+                violations.append(
+                    f"cycle {cyc}: vertex {u} with label {t.max_label[u]} "
+                    f"is not the repeated loop label {expected}"
+                )
+        n_restricted = sum(1 for u in cyc if u in t.restricted)
+        n_floor = sum(1 for u in cyc if u in t.floor)
+        if n_restricted != n_floor:
+            violations.append(
+                f"cycle {cyc}: {n_restricted} restricted but {n_floor} floor vertices"
+            )
+    return VerificationReport("cycle-structure", checks, tuple(violations))
+
+
+def oracle_overlap_bounds(t) -> VerificationReport:
+    g = t.graph
+    root = t.root
+    checks = 0
+    violations = []
+    for a in g.arcs:
+        if a.tail == root:
+            continue
+        checks += 1
+        cap = t.overlap_next[a.tail]
+        if a.label > cap:
+            violations.append(f"arc {a}: label exceeds bound {cap}")
+            continue
+        if a.head == root:
+            continue
+        if a.label < cap and t.overlap[a.head] != ():
+            violations.append(f"arc {a}: low label but head overlap is nonempty")
+        if a.label == cap and t.overlap[a.head] != t.overlap[a.tail] + (a.label,):
+            violations.append(f"arc {a}: head overlap does not extend tail overlap")
+    return VerificationReport("overlap-bounds", checks, tuple(violations))
+
+
+def oracle_floor_paths(t) -> VerificationReport:
+    checks = 0
+    violations = []
+    for f in sorted(t.floor):
+        labels: list[int] = []
+        visited = {f}
+        cur = f
+        while True:
+            if cur != t.root and tuple(labels) != t.overlap[cur]:
+                violations.append(
+                    f"path from {f} to {cur}: label {tuple(labels)} != overlap "
+                    f"{t.overlap[cur]}"
+                )
+            checks += 1
+            if cur == t.root or cur in t.restricted:
+                break
+            arc = t.max_arc[cur]
+            labels.append(arc.label)
+            cur = arc.head
+            if cur in visited:
+                break
+            visited.add(cur)
+    return VerificationReport("floor-paths", checks, tuple(violations))
+
+
+def oracle_cycle_label_blocks(t, cycle: tuple[Word, ...]) -> VerificationReport:
+    n = t.graph.span
+    rest = [u for u in cycle if u in t.restricted]
+    if not rest:
+        return VerificationReport(
+            "cycle-label-blocks", 1, (f"cycle {cycle} has no restricted vertex",)
+        )
+    reps = (n + 1) // len(cycle)
+    k = len(rest)
+    checks = 0
+    violations = []
+    for i, u in enumerate(rest):
+        checks += 1
+        loop: list[int] = []
+        for j in range(1, k + 1):
+            w = rest[(i + j) % k]
+            loop.extend(t.overlap[w] + (t.max_label[w],))
+        if len(loop) != len(cycle):
+            violations.append(
+                f"cycle {cycle}: blocks after {u} spell {len(loop)} letters, "
+                f"cycle has {len(cycle)}"
+            )
+            continue
+        if tuple(loop) * reps != u + (t.max_label[u],):
+            violations.append(f"cycle {cycle}: block spelling mismatch at {u}")
+    return VerificationReport("cycle-label-blocks", checks, tuple(violations))
+
+
+def oracle_greedy_decision(decision) -> VerificationReport:
+    t = decision.analysis
+    g = t.graph
+    checks = 1
+    violations = []
+    walk = minimal_walk(g)
+    if walk.is_eulerian(g) != decision.answer:
+        violations.append(
+            f"decision {decision.answer} but greedy walk eulerian={walk.is_eulerian(g)}"
+        )
+    obstruction_words = {o.word for o in decision.obstructions}
+    for cyc in t.cycles:
+        divides = (g.span + 1) % len(cyc) == 0
+        for u in cyc:
+            checks += 1
+            if not divides or u + (t.max_label[u],) not in obstruction_words:
+                violations.append(f"cycle word for {u} missing from obstructions")
+    for o in decision.obstructions:
+        w = o.word
+        for r in range(len(w)):
+            rot = w[r:] + w[:r]
+            checks += 1
+            if t.max_arc.get(rot[:-1]) != (rot[:-1], rot[-1], rot[1:]):
+                violations.append(
+                    f"obstruction {w}: rotation {rot} is not a max-arc of the graph"
+                )
+    return VerificationReport("greedy-decision", checks, tuple(violations))
+
+
 def oracle_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationReport:
     """Quadratic reference for verify_exhaustion_order: finds the vertices
     draining into each v by walking the reserved arcs from every vertex."""
@@ -601,6 +803,34 @@ def oracle_exhaustion_order_upward(g: DeBruijnGraph, avoid: AvoidSet) -> Verific
     return VerificationReport("exhaustion-order", checks, tuple(violations))
 
 
+def oracle_parse_blocks(w: Word, g: DeBruijnGraph) -> tuple[tuple[Word, int], ...] | None:
+    """Tuple reference for structure._split_blocks: parses w left to
+    right, each block ending at the first letter where w departs from the
+    maximal vertex m, and looks up the out-arcs of the vertex each block's
+    letter leaves."""
+    m = g.max_vertex
+    n = len(m)
+    blocks: list[tuple[Word, int]] = []
+    i = 0
+    while i < len(w):
+        k = 0
+        while k < n and i + k < len(w) and w[i + k] == m[k]:
+            k += 1
+        p = i + k
+        if k == n or p == len(w) or w[p] > m[k]:
+            return None
+        # The rotation of w ending at this block's letter spells an arc out
+        # of `rest`; a larger letter is in the language exactly when `rest`
+        # has an out-arc with a larger label.
+        rest = w[p + 1 :] + w[:p]
+        arcs = g.out_arcs(rest)
+        if arcs and arcs[-1].label > w[p]:
+            return None
+        blocks.append((w[i:p], w[p]))
+        i = p + 1
+    return tuple(blocks)
+
+
 def oracle_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
     """Reference for structure.enumerate_obstructions: keys each rotation
     class by its least rotation and builds every arc word's rotations."""
@@ -613,7 +843,7 @@ def oracle_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
         if key not in cache:
             hit = None
             for cand in sorted(set(rots)):
-                blocks = _split_blocks(cand, g)
+                blocks = oracle_parse_blocks(cand, g)
                 if blocks is not None:
                     hit = (cand, blocks)
                     break
@@ -625,10 +855,35 @@ def oracle_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
     return tuple(out)
 
 
+def oracle_rotation_table_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
+    """Tuple reference for structure.enumerate_obstructions with its
+    rotation table: one dict from every rotation tuple of each class seen
+    to the class's witness, or to None."""
+    witness: dict[Word, tuple[Word, tuple[tuple[Word, int], ...]] | None] = {}
+    out: list[Obstruction] = []
+    for a in g.arcs:
+        w = a.tail + (a.label,)
+        if w not in witness:
+            rots = [w[r:] + w[:r] for r in range(len(w))]
+            hit = None
+            for cand in sorted(set(rots)):
+                blocks = oracle_parse_blocks(cand, g)
+                if blocks is not None:
+                    hit = (cand, blocks)
+                    break
+            witness.update(dict.fromkeys(rots, hit))
+        hit = witness[w]
+        if hit is not None:
+            rotated, blocks = hit
+            r = next(r for r in range(len(w)) if w[r:] + w[:r] == rotated)
+            out.append(Obstruction(word=w, rotation=r, blocks=blocks))
+    return tuple(out)
+
+
 def oracle_split_blocks(
     w: Word, m: Word, words: frozenset[Word], size: int
 ) -> tuple[tuple[Word, int], ...] | None:
-    """Backtracking reference for structure._split_blocks: tries every
+    """Backtracking reference for the block parsers: tries every
     block length at every position and checks the raised-letter condition
     only on complete decompositions."""
     n = len(m)

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from debruijn_sft import counting, structure
+from debruijn_sft import build_graph, cli, counting, structure
 from debruijn_sft.cli import main
 
 from corpus import cyclic_windows
+
+
+GOLDEN5 = ("--alphabet", "01", "--forbid", "11", "--span", "5")
 
 
 def run(capsys, *argv):
@@ -161,6 +164,21 @@ def test_check_blocked_instance_prints_witnesses(capsys):
     assert "minimal-eulerian false" in out
     assert any(line.startswith("cycle ") for line in out.splitlines())
     assert any(line.startswith("obstruction ") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", [GOLDEN5, ("--alphabet", "01", "--forbid", "01111", "--span", "4"),
+                                  ("--alphabet", "012", "--forbid", "22", "--span", "4")], ids=" ".join)
+def test_check_builds_no_tuple_graph(monkeypatch, capsys, argv):
+    built = []
+
+    def build_and_keep(*args):
+        built.append(build_graph(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_graph", build_and_keep)
+    code, out, _ = run(capsys, "check", *argv)
+    assert code == 0 and out
+    assert not {"vertices", "arcs", "out"} & set(built[0].__dict__)
 
 
 def test_check_json_round_trip(capsys):
@@ -393,7 +411,6 @@ def count_calls(monkeypatch, functions):
 
 
 ANALYSES = (structure.analyze_max_arcs, structure.enumerate_obstructions)
-GOLDEN5 = ("--alphabet", "01", "--forbid", "11", "--span", "5")
 
 
 @pytest.mark.parametrize("argv, functions", [

@@ -5,6 +5,7 @@ import pytest
 from debruijn_sft import (
     AmbiguousComponentError,
     AvoidSet,
+    Decision,
     EmptyGraphError,
     Language,
     analysis_to_json,
@@ -30,11 +31,20 @@ from corpus import (
     ALL_INSTANCES,
     avoid_sets,
     graph_of,
+    oracle_analyze_max_arcs,
+    oracle_cycle_label_blocks,
+    oracle_cycle_structure,
     oracle_exhaustion_order,
     oracle_exhaustion_order_upward,
+    oracle_floor_paths,
     oracle_functional_cycles,
+    oracle_greedy_decision,
+    oracle_label_monotonicity,
     oracle_longest_overlap,
     oracle_obstructions,
+    oracle_overlap_bounds,
+    oracle_parse_blocks,
+    oracle_rotation_table_obstructions,
     oracle_split_blocks,
     random_hand_built_graphs,
     random_instances,
@@ -209,11 +219,93 @@ def test_functional_cycles_match_reference():
             exit_maps = avoid_sets(g, rng)
         else:
             exit_maps = [analyze_max_arcs(g).avoid_set()]
+        ids = {v: i for i, v in enumerate(g.vertices)}
         for avoid in exit_maps:
-            got = structure._functional_cycles(g.vertices, avoid.arc_by_vertex)
+            succ = [-1] * len(g.vertices)
+            for v, a in avoid.arc_by_vertex.items():
+                succ[ids[v]] = ids[a.head]
+            got = [[g.vertices[v] for v in cyc] for cyc in structure._functional_cycles(succ)]
             assert got == oracle_functional_cycles(g.vertices, avoid.arc_by_vertex), g.arcs
             cycles += len(got)
     assert cycles > 1000
+
+
+def test_analysis_matches_tuple_reference():
+    # Field by field against the tuple analysis, which also refuses a
+    # vertex with no out-arc in the same words.
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES + random_instances(200)]
+    graphs += random_hand_built_graphs(3000, seed=7)
+    refused = 0
+    for g in graphs:
+        try:
+            want = oracle_analyze_max_arcs(g)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                analyze_max_arcs(g)
+            assert str(got.value) == str(e)
+            refused += 1
+            continue
+        t = analyze_max_arcs(g)
+        for name, value in want.items():
+            assert getattr(t, name) == value, (name, g.arcs)
+        avoid = t.avoid_set()
+        assert (avoid.root, avoid.arc_by_vertex) == (want["root"], want["max_arc"])
+        for v in want["max_arc"]:
+            assert classify_vertex(t, v) == structure.VertexClass(
+                overlap=want["overlap"][v],
+                overlap_next=want["overlap_next"][v],
+                max_label=want["max_label"][v],
+                is_floor=v in want["floor"],
+                is_restricted=v in want["restricted"],
+            ), g.arcs
+    assert refused > 100
+
+
+def analyses_with_random_tables(g, rng):
+    """The graph's analysis, then analyses on random out-arcs and random
+    overlap lengths, which break the facts the verifiers check."""
+    t = analyze_max_arcs(g)
+    top = len(g.ranks) - 1
+    random_arcs = [rng.randrange(g.first[v], g.first[v + 1]) for v in range(top)] + [-1]
+    random_states = [rng.randrange(g.span) for _ in range(top)] + [-1]
+    return [
+        t,
+        structure._analysis(g, random_arcs, t._state),
+        structure._analysis(g, t._arc, random_states),
+        structure._analysis(g, random_arcs, random_states),
+    ]
+
+
+def test_verifiers_match_tuple_references_with_violations():
+    # Same checks= counts and the same violation texts, in the same order,
+    # as the tuple verifiers, on true and on broken analyses.
+    rng = random.Random(23)
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES + random_instances(40)]
+    graphs += [graph_of(spec) for spec in [("01", ("11",), 10), ("01", ("01111",), 8)]]
+    graphs += [g for g in random_hand_built_graphs(400, seed=23) if analyzable(g)]
+    flagged = dict.fromkeys(["label", "structure", "bounds", "floor", "blocks", "greedy"], 0)
+    for g in graphs:
+        obstructions = enumerate_obstructions(g)
+        for t in analyses_with_random_tables(g, rng):
+            pairs = [
+                ("label", verify_label_monotonicity(t), oracle_label_monotonicity(t)),
+                ("structure", verify_cycle_structure(t), oracle_cycle_structure(t)),
+                ("bounds", verify_overlap_bounds(t), oracle_overlap_bounds(t)),
+                ("floor", verify_floor_paths(t), oracle_floor_paths(t)),
+            ]
+            pairs += [
+                ("blocks", check_cycle_label_blocks(t, c), oracle_cycle_label_blocks(t, c))
+                for c in t.cycles
+            ]
+            decision = Decision(
+                answer=t.is_tree, via_tree=t.is_tree, via_obstructions=not obstructions,
+                cycles=t.cycles, obstructions=obstructions, analysis=t,
+            )
+            pairs.append(("greedy", verify_greedy_decision(decision), oracle_greedy_decision(decision)))
+            for name, got, want in pairs:
+                assert got == want, (name, g.arcs)
+                flagged[name] += not got.ok
+    assert all(count > 20 for count in flagged.values()), flagged
 
 
 def test_exhaustion_order_matches_reference():
@@ -298,6 +390,25 @@ def test_exhaustion_order_matches_upward_reference_at_scale(monkeypatch):
             assert report == oracle_exhaustion_order_upward(g, avoid), g.vertices[-1]
 
 
+@pytest.mark.parametrize("spec", [GOLDEN5, BLOCKED4, ("012", ("22",), 4), ("01", (), 5)], ids=str)
+def test_decision_and_verifiers_build_no_tuple_views(spec):
+    g = graph_of(spec)
+    decision = decide_minimal_is_eulerian(g)
+    t = decision.analysis
+    reports = [
+        verify_label_monotonicity(t),
+        verify_cycle_structure(t),
+        verify_overlap_bounds(t),
+        verify_floor_paths(t),
+        verify_greedy_decision(decision),
+    ]
+    reports += [check_cycle_label_blocks(t, c) for c in t.cycles]
+    assert all(r.ok for r in reports)
+    for v in t.cycles[0] if t.cycles else ():
+        classify_vertex(t, v)
+    assert not {"vertices", "arcs", "out"} & set(g.__dict__)
+
+
 def test_floor_path_verifier_handles_restricted_floor_start():
     # With 002 forbidden the vertex 00 is floor yet restricted: its only
     # extension would immediately break the spelled-overlap equality, so
@@ -343,7 +454,9 @@ def test_obstruction_cross_construction_on_corpus():
 def test_obstructions_match_reference():
     for spec in ALL_INSTANCES + random_instances(200):
         g = graph_of(spec)
-        assert enumerate_obstructions(g) == oracle_obstructions(g), spec
+        got = enumerate_obstructions(g)
+        assert got == oracle_obstructions(g), spec
+        assert got == oracle_rotation_table_obstructions(g), spec
 
 
 def test_obstructions_match_reference_on_hand_built_graphs():
@@ -353,21 +466,30 @@ def test_obstructions_match_reference_on_hand_built_graphs():
     for g in random_hand_built_graphs(3000, seed=5):
         want = oracle_obstructions(g)
         assert enumerate_obstructions(g) == want, g.arcs
+        assert oracle_rotation_table_obstructions(g) == want, g.arcs
         found += bool(want)
     assert found > 100
 
 
 def test_split_blocks_matches_backtracking_reference():
+    # Each rotation is parsed from the block lengths of its word, which
+    # read one flag per letter for whether a block may end there.
     decomposed = 0
     for spec in ALL_INSTANCES + random_instances(40):
         g = graph_of(spec)
         words = frozenset(a.tail + (a.label,) for a in g.arcs)
         for w in words:
+            may_end = []
+            for q in range(len(w)):
+                arcs = g.out_arcs(w[q + 1 :] + w[:q])
+                may_end.append(not arcs or arcs[-1].label <= w[q])
+            block = structure._block_lengths(w, may_end, g.max_vertex)
             for r in range(len(w)):
                 rot = w[r:] + w[:r]
-                got = structure._split_blocks(rot, g)
+                got = structure._split_blocks(w, r, block, g.max_vertex)
                 want = oracle_split_blocks(rot, g.max_vertex, words, g.alphabet.size)
                 assert got == want, (spec, rot)
+                assert oracle_parse_blocks(rot, g) == want, (spec, rot)
                 decomposed += got is not None
     assert decomposed
 
