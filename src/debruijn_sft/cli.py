@@ -87,8 +87,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     g = _graph(args)
     print(f"span {g.span}")
     print(f"alphabet {''.join(g.alphabet.symbols)}")
-    print(f"vertices {len(g.vertices)}")
-    print(f"arcs {len(g.arcs)}")
+    print(f"vertices {len(g.ranks)}")
+    print(f"arcs {len(g.heads)}")
     print(f"max-vertex {g.alphabet.text(g.max_vertex)}")
     highlight = frozenset(analyze_max_arcs(g).max_arc.values()) if args.highlight_t else frozenset()
     if args.dot:

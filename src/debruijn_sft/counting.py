@@ -244,17 +244,17 @@ def count_eulerian_cycles(g: DeBruijnGraph, root: Word) -> int:
 def lower_bound_report(g: DeBruijnGraph) -> dict:
     """Ingredients of the crude circuit-count lower bound, next to the
     exact values, for side-by-side reading."""
-    mean_out = len(g.arcs) / len(g.vertices)
+    mean_out = len(g.heads) / len(g.ranks)
     factorial_term = out_degree_factorials(g)
     base = factorial(max(int(mean_out) - 1, 0))
     trees = count_converging_spanning_trees(g, g.max_vertex)
     report = {
-        "vertices": len(g.vertices),
-        "arcs": len(g.arcs),
+        "vertices": len(g.ranks),
+        "arcs": len(g.heads),
         "mean_out_degree": mean_out,
         "factorial_term": factorial_term,
         "bound_base_factorial": base,
-        "bound_value": base ** len(g.vertices),
+        "bound_value": base ** len(g.ranks),
         "spanning_trees": trees,
         "eulerian_cycles": trees * factorial_term,
     }

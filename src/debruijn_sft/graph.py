@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
@@ -83,7 +84,7 @@ class DeBruijnGraph:
     def id_of(self, v: Word) -> int | None:
         """The id of vertex v, or None when v is not a vertex of the graph."""
         letters = range(self.alphabet.size)
-        if len(v) != self.span or not all(a in letters for a in v):
+        if not isinstance(v, Sequence) or len(v) != self.span or not all(a in letters for a in v):
             return None
         rank = encode_word(v, self.alphabet.size)
         i = bisect_left(self.ranks, rank)

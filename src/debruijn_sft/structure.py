@@ -24,9 +24,11 @@ analysis run on the graph's vertex and arc ids and on integer word ranks.
 Word tuples and `Arc`s are made only for what is returned or printed as
 words: the cycles, the obstructions, violation texts, and the word-keyed
 fields of `MaxArcAnalysis`, which are views made on first read. The
-exhaustion-order check takes an `AvoidSet` keyed by words, so it reads
-those views and the graph's. The max-arc cycles come from one pass that
-stamps each vertex with the walk that first reached it.
+exhaustion-order check reads an `AvoidSet` as reserved arc ids too: the
+one an analysis makes holds them, and a word-keyed one is turned into
+them. The max-arc cycles come from one pass that stamps each vertex with
+the walk that first reached it; the same cycle-finder gives, per rotation
+class, the rotations that split into blocks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from operator import sub
 from .errors import TheoremViolationError
 from .graph import Arc, DeBruijnGraph
 from .language import Language, Word, _automaton, decode_ranks, encode_word
-from .walks import AvoidSet, exhaustion_order, minimal_walk, walk_avoiding
+from .walks import AvoidSet, _avoiding_ids, _exhaustion_times, _reserved_ids, minimal_walk
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +97,7 @@ class MaxArcAnalysis:
         )
 
     def avoid_set(self) -> AvoidSet:
-        return AvoidSet(root=self.root, arc_by_vertex=self.max_arc)
+        return AvoidSet._of_ids(self.graph, self.root, self._arc)
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,8 @@ def _functional_cycles(succ: list[int]) -> list[list[int]]:
     start = [-1] * len(succ)
     cycles: list[list[int]] = []
     for i in range(len(succ)):
+        if start[i] >= 0:
+            continue
         path: list[int] = []
         cur = i
         while cur >= 0 and start[cur] < 0:
@@ -479,55 +483,59 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
     times, so each vertex is visited once. A vertex makes one check per
     exhausted vertex above it, and a violation when it is exhausted later
     than the earliest of them, or never. Only for such a vertex is its
-    path up walked again, to name the vertices it is late for.
+    path up walked again, to name the vertices it is late for. All of it
+    runs on the graph's ids; words are decoded for violations only.
     """
-    walk = walk_avoiding(g, avoid)
-    order = exhaustion_order(walk, g)
-    reserved = avoid.arc_by_vertex
-    vertices = g.vertices
-    ids = dict(zip(vertices, range(len(vertices))))
-    succ = [-1] * len(vertices)
-    for v, a in reserved.items():
-        succ[ids[v]] = ids[a.head]
-    on_cycle = {vertices[v] for cyc in _functional_cycles(succ) for v in cyc}
-    parent = {
-        v: a.head for v, a in reserved.items()
-        if v not in on_cycle and a.head not in on_cycle
-    }
+    root, arc = _reserved_ids(g, avoid)
     never = len(g.heads) + 1   # later than any exhaustion time
-    # above[v]: (exhausted vertices among v and the vertices above it,
-    # the earliest time among them)
-    above: dict[Word, tuple[int, int]] = {}
+    time = [t if t >= 0 else never for t in _exhaustion_times(g, _avoiding_ids(g, root, arc))]
+    heads = g.heads
+    succ = [heads[a] if a >= 0 else -1 for a in arc]
+    on_cycle = [False] * len(arc)
+    for cyc in _functional_cycles(succ):
+        for v in cyc:
+            on_cycle[v] = True
+    parent = [
+        -1 if h < 0 or on_cycle[v] or on_cycle[h] else h for v, h in enumerate(succ)
+    ]
+    # count[v]: exhausted vertices among v and the vertices above it, -1
+    # until v is passed; earliest[v]: the earliest time among them.
+    count = [-1] * len(arc)
+    earliest = [never] * len(arc)
     checks = 0
     late_vertices = []
-    for u in vertices:
+    for u in range(len(arc)):
+        if count[u] >= 0:
+            continue
         path = []
-        v: Word | None = u
-        while v is not None and v not in above:
+        v = u
+        while v >= 0 and count[v] < 0:
             path.append(v)
-            v = parent.get(v)
-        count, earliest = (0, never) if v is None else above[v]
+            v = parent[v]
+        c, e = (0, never) if v < 0 else (count[v], earliest[v])
         for w in reversed(path):   # down from the top
-            t = order.get(w)
-            checks += count
-            if count and (t is None or t > earliest):
+            t = time[w]
+            checks += c
+            if c and t > e:
                 late_vertices.append(w)
-            if t is not None:
-                count += 1
-                earliest = min(earliest, t)
-            above[w] = (count, earliest)
+            if t < never:
+                c += 1
+                e = min(e, t)
+            count[w] = c
+            earliest[w] = e
     late = []
     for u in late_vertices:
-        t = order.get(u)
-        v = parent.get(u)
-        while v is not None:
-            tv = order.get(v)
-            if tv is not None and (t is None or t > tv):
+        t = time[u]
+        v = parent[u]
+        while v >= 0:
+            if time[v] < never and t > time[v]:
                 late.append((v, u))
-            v = parent.get(v)
+            v = parent[v]
+    late.sort()   # ids follow word order
     violations = [
-        f"{v} exhausted at {order[v]} but upstream {u} at {order.get(u)}"
-        for v, u in sorted(late)
+        f"{g.word_of(v)} exhausted at {time[v]} but upstream {g.word_of(u)} at "
+        f"{time[u] if time[u] < never else None}"
+        for v, u in late
     ]
     return VerificationReport("exhaustion-order", checks, tuple(violations))
 
@@ -557,23 +565,34 @@ def _block_lengths(w: Word, may_end: list[bool], m: Word) -> list[int]:
     return out
 
 
+def _parse_starts(block: list[int]) -> list[int]:
+    """The places of a circular word at which a rotation starts that splits
+    into blocks, read from the word's block lengths.
+
+    A parse from place j goes to (q + block[q]) mod L from each place q,
+    L being the word's length, and stops where no block starts. It splits
+    the rotation at j exactly when it comes back to j after block lengths
+    that sum to L: so j lies on a cycle of that functional graph whose
+    block lengths sum to L, and not to a larger multiple of L.
+    """
+    size = len(block)
+    if not any(block):
+        return []
+    succ = [(q + b) % size if b else -1 for q, b in enumerate(block)]
+    return [
+        q for cyc in _functional_cycles(succ) if sum([block[q] for q in cyc]) == size
+        for q in cyc
+    ]
+
+
 def _split_blocks(
     w: Word, j: int, block: list[int], m: Word,
-) -> tuple[tuple[Word, int], ...] | None:
+) -> tuple[tuple[Word, int], ...]:
     """The block decomposition of the rotation of w by j places, read from
-    its block lengths; None when it has none. The decomposition is a
-    parse: from each position the only candidate is the block that starts
-    there, and the last block must end at the rotation's last letter."""
+    its block lengths; j is one of `_parse_starts(block)`."""
     size = len(w)
-    p, end = j, j + size
-    while p < end:
-        if not block[p % size]:
-            return None
-        p += block[p % size]
-    if p != end:
-        return None
     blocks = []
-    p = j
+    p, end = j, j + size
     while p < end:
         b = block[p % size]
         blocks.append((m[: b - 1], w[(p + b - 1) % size]))
@@ -585,14 +604,17 @@ def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
     """All arc words admitting an obstruction decomposition on some
     rotation, with one witness each.
 
-    Parses each rotation into blocks, independent of the max-arc subgraph.
+    Splits rotations into blocks, independent of the max-arc subgraph.
     The outcome depends only on a word's rotation class, so one table maps
     the rank of every rotation of each class seen to the class's witness,
     or to None. Rotating the word of rank c by one place gives rank
     (c % k**n) * k + c // k**n, whose first letter is c // k**n. So a
     class's letters, and one flag per letter for whether a block may end
     there, come from its rotations' ranks; the obstruction words found are
-    the only words decoded.
+    the only words decoded. A class is parsed once: the cycles of its
+    block lengths give every rotation that splits, the witness is the
+    least of their ranks, and only its blocks are read. A class in which
+    no block may end anywhere has no witness.
     """
     k, n = g.alphabet.size, g.span
     size = k ** n
@@ -610,17 +632,17 @@ def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
                 for _ in range(n):
                     d = rots[-1]
                     rots.append((d % size) * k + d // size)
-                w = tuple([d // size for d in rots])
                 # Letter q ends the arc word of the rotation after it: its tail
                 # is that rotation's first n letters.
                 may_end = [top.get(d // k, -1) <= d % k for d in rots[1:] + rots[:1]]
-                block = _block_lengths(w, may_end, m)
                 hit = None
-                for cand in sorted(set(rots)):
-                    blocks = _split_blocks(w, rots.index(cand), block, m)
-                    if blocks is not None:
-                        hit = (cand, blocks)
-                        break
+                if True in may_end:
+                    w = tuple([d // size for d in rots])
+                    block = _block_lengths(w, may_end, m)
+                    starts = _parse_starts(block)
+                    if starts:
+                        j = min(starts, key=rots.__getitem__)
+                        hit = (rots[j], _split_blocks(w, j, block, m))
                 witness.update(dict.fromkeys(rots, hit))
             hit = witness[c]
             if hit is not None:

@@ -1,16 +1,23 @@
 """Walks over the graph: Eulerian circuits, walks avoiding an arc set,
-the greedy minimal walk, and exhaustion bookkeeping."""
+the greedy minimal walk, and exhaustion bookkeeping.
+
+The walkers and the exhaustion bookkeeping run on the graph's vertex and
+arc ids. An avoid set made from a graph's ids is read as it is; a
+word-keyed one is checked and turned into the same ids first. Words and
+`Arc`s are made only for what is returned as words.
+"""
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 from itertools import chain, repeat
 from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import NotEulerianError
 from .graph import Arc, DeBruijnGraph
-from .language import Word
+from .language import Word, decode_ranks
 
 
 class Walk:
@@ -100,23 +107,79 @@ class Walk:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class AvoidSet:
-    """One reserved out-arc per non-root vertex; the root reserves none."""
+    """One reserved out-arc per non-root vertex; the root reserves none.
 
-    root: Word
-    arc_by_vertex: Mapping[Word, Arc]
+    `AvoidSet(root, arc_by_vertex)` takes the reserved arcs keyed by
+    vertex words. `MaxArcAnalysis.avoid_set()` makes one from a graph's
+    ids instead: it holds the graph and, per vertex id, the id of the
+    reserved arc, -1 at the root, and makes `arc_by_vertex` when it is
+    first read. The walkers and the exhaustion-order check read those ids
+    directly, and turn a word-keyed set into the same ids. Either way an
+    avoid set cannot be changed, and is equal only to itself.
+    """
+
+    def __init__(self, root: Word, arc_by_vertex: Mapping[Word, Arc]) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "arc_by_vertex", arc_by_vertex)   # in place of the view
+        object.__setattr__(self, "_graph", None)
+
+    @classmethod
+    def _of_ids(cls, g: DeBruijnGraph, root: Word, arc: list[int]) -> AvoidSet:
+        """The avoid set of g reserving arc id arc[v] at each vertex id v."""
+        avoid = object.__new__(cls)
+        object.__setattr__(avoid, "root", root)
+        object.__setattr__(avoid, "_graph", g)
+        object.__setattr__(avoid, "_arc", arc)
+        return avoid
+
+    @cached_property
+    def arc_by_vertex(self) -> Mapping[Word, Arc]:
+        vertices, arcs = self._graph.vertices, self._graph.arcs
+        return {vertices[v]: arcs[a] for v, a in enumerate(self._arc) if a >= 0}
+
+    def __repr__(self) -> str:
+        return f"AvoidSet(root={self.root!r}, arc_by_vertex={self.arc_by_vertex!r})"
+
+    def __reduce__(self) -> tuple:
+        return AvoidSet, (self.root, self.arc_by_vertex)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def check_avoid_set(g: DeBruijnGraph, avoid: AvoidSet) -> None:
-    if avoid.root not in g.out:
+    _reserved_ids(g, avoid)
+
+
+def _reserved_ids(g: DeBruijnGraph, avoid: AvoidSet) -> tuple[int, list[int]]:
+    """The id of the avoid set's root and, per vertex id, the id of its
+    reserved arc, -1 at the root; ValueError when the set is not one of
+    g's avoid sets. A set made from g's ids is one already."""
+    root = g.id_of(avoid.root)
+    if avoid._graph is g:
+        return root, avoid._arc
+    if root is None:
         raise ValueError(f"root {avoid.root} is not in the graph")
-    expected = set(g.vertices) - {avoid.root}
-    if set(avoid.arc_by_vertex) != expected:
+    reserved = avoid.arc_by_vertex
+    ids = [g.id_of(v) for v in reserved]
+    # Distinct keys that are vertices have distinct ids.
+    if len(ids) != len(g.ranks) - 1 or None in ids or root in ids:
         raise ValueError("avoid set must reserve exactly one arc per non-root vertex")
-    for v, a in avoid.arc_by_vertex.items():
-        if a.tail != v or a not in g:
+    first, labels = g.first, g.labels
+    arc = [-1] * len(g.ranks)
+    for i, (v, a) in zip(ids, reserved.items()):
+        try:
+            j = labels.index(a.label, first[i], first[i + 1]) if a.tail == v else -1
+        except ValueError:
+            j = -1
+        if j < 0 or a.head != g.word_of(g.heads[j]):
             raise ValueError(f"reserved arc for {v} is not an out-arc of {v} in the graph")
+        arc[i] = j
+    return root, arc
 
 
 def walk_to_json(walk: Walk, g: DeBruijnGraph) -> dict:
@@ -209,21 +272,28 @@ def walk_avoiding(g: DeBruijnGraph, avoid: AvoidSet) -> Walk:
     when no unvisited arc leaves the current vertex. The walk may end
     before covering the graph; that outcome is returned, not raised.
     """
-    check_avoid_set(g, avoid)
-    first, labels = g.first, g.labels
-    ids = dict(zip(g.vertices, range(len(first) - 1)))
+    root, arc = _reserved_ids(g, avoid)
+    return Walk._of_ids(g, avoid.root, _avoiding_ids(g, root, arc))
+
+
+def _avoiding_ids(g: DeBruijnGraph, root: int, arc: list[int]) -> list[int]:
+    """The arc ids of the walk that avoids the arc ids `arc`, from vertex
+    id `root`."""
+    first, heads = g.first, g.heads
     # order[p]: the arc at position p of the walk's order. A reserved arc
-    # that is not its vertex's last moves to the end of its vertex's run.
-    order = list(range(len(labels)))
-    for v, reserved in avoid.arc_by_vertex.items():
-        end = first[ids[v] + 1]
-        r = labels.index(reserved.label, first[ids[v]], end)
-        if r != end - 1:
+    # that is not its vertex's last moves to the end of its vertex's run;
+    # the max-arc set reserves last arcs only, so it moves none.
+    order = None
+    for v, r in enumerate(arc):
+        end = first[v + 1]
+        if 0 <= r < end - 1:
+            if order is None:
+                order = list(range(len(heads)))
             order[r:end] = [*range(r + 1, end), r]
-    heads = [g.heads[i] for i in order]
-    root = ids[avoid.root]
-    steps = _spend(heads, first, list(first), root)
-    return Walk._of_ids(g, avoid.root, [order[p] for p in steps])
+    if order is None:
+        return _spend(heads, first, list(first), root)
+    steps = _spend([heads[i] for i in order], first, list(first), root)
+    return [order[p] for p in steps]
 
 
 def minimal_walk(g: DeBruijnGraph) -> Walk:
@@ -253,23 +323,36 @@ def exhaustion_order(walk: Walk, g: DeBruijnGraph) -> dict[Word, int]:
     """Earliest prefix length (in arcs) at which each vertex is exhausted.
 
     A vertex is exhausted once every arc touching it (as head or tail)
-    has been used; vertices never exhausted are absent from the map.
+    has been used; vertices never exhausted are absent from the map. The
+    map lists vertices by time, and by word among equal times.
     """
-    heads, first, vertices = g.heads, g.first, g.vertices
-    tails = list(chain.from_iterable(map(repeat, range(len(vertices)), map(sub, first[1:], first))))
-    remaining = [0] * len(vertices)   # unused arcs touching each vertex
+    times = _exhaustion_times(g, _arc_ids(walk, g))
+    done = sorted((v for v, t in enumerate(times) if t >= 0), key=times.__getitem__)
+    words = decode_ranks([g.ranks[v] for v in done], g.alphabet.size, g.span)
+    return dict(zip(words, map(times.__getitem__, done)))
+
+
+def _exhaustion_times(g: DeBruijnGraph, ids: list[int]) -> list[int]:
+    """The exhaustion time of each vertex id along the walk on arc ids
+    `ids`, as `exhaustion_order` gives it; -1 when never exhausted."""
+    heads, first = g.heads, g.first
+    remaining = list(map(sub, first[1:], first))   # unused arcs touching each vertex
+    tails = list(chain.from_iterable(map(repeat, range(len(remaining)), remaining)))
     for t, h in zip(tails, heads):
-        remaining[t] += 1
         if h != t:
             remaining[h] += 1
-    order = {vertices[v]: 0 for v, left in enumerate(remaining) if not left}
+    times = [-1 if left else 0 for left in remaining]
     used = bytearray(len(heads))
-    for k, i in enumerate(_arc_ids(walk, g), start=1):
+    for k, i in enumerate(ids, start=1):
         if used[i]:
             continue
         used[i] = 1
-        for v in {tails[i], heads[i]}:
-            remaining[v] -= 1
-            if not remaining[v]:
-                order[vertices[v]] = k
-    return order
+        t, h = tails[i], heads[i]
+        remaining[t] -= 1
+        if not remaining[t]:
+            times[t] = k
+        if h != t:
+            remaining[h] -= 1
+            if not remaining[h]:
+                times[h] = k
+    return times

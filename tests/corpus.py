@@ -33,6 +33,8 @@ from debruijn_sft import (
     minimal_walk,
     walk_avoiding,
 )
+from debruijn_sft import structure
+from debruijn_sft.language import decode_ranks
 from debruijn_sft.walks import check_balanced
 
 # Instances where the span-level irreducibility check passes; safe for
@@ -878,6 +880,67 @@ def oracle_rotation_table_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, .
             r = next(r for r in range(len(w)) if w[r:] + w[:r] == rotated)
             out.append(Obstruction(word=w, rotation=r, blocks=blocks))
     return tuple(out)
+
+
+def oracle_candidate_parse_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
+    """Reference for structure.enumerate_obstructions with its rank-keyed
+    rotation table, that tries a class's rotations one by one in rank
+    order and parses each from the class's block lengths, until one
+    splits into blocks."""
+    k, n = g.alphabet.size, g.span
+    size = k ** n
+    m = g.max_vertex
+    first, labels = g.first, g.labels
+    top = {r: labels[f - 1] for r, e, f in zip(g.ranks, first, first[1:]) if e < f}
+
+    def parse(w: Word, j: int, block: list[int]) -> tuple[tuple[Word, int], ...] | None:
+        p, end = j, j + len(w)
+        while p < end:
+            if not block[p % len(w)]:
+                return None
+            p += block[p % len(w)]
+        if p != end:
+            return None
+        blocks = []
+        p = j
+        while p < end:
+            b = block[p % len(w)]
+            blocks.append((m[: b - 1], w[(p + b - 1) % len(w)]))
+            p += b
+        return tuple(blocks)
+
+    witness: dict[int, tuple[int, tuple[tuple[Word, int], ...]] | None] = {}
+    found: list[tuple[int, int, tuple[tuple[Word, int], ...]]] = []
+    for v, r in enumerate(g.ranks):
+        for i in range(first[v], first[v + 1]):
+            c = r * k + labels[i]
+            if c not in witness:
+                rots = [c]
+                for _ in range(n):
+                    d = rots[-1]
+                    rots.append((d % size) * k + d // size)
+                w = tuple([d // size for d in rots])
+                may_end = [top.get(d // k, -1) <= d % k for d in rots[1:] + rots[:1]]
+                block = structure._block_lengths(w, may_end, m)
+                hit = None
+                for cand in sorted(set(rots)):
+                    blocks = parse(w, rots.index(cand), block)
+                    if blocks is not None:
+                        hit = (cand, blocks)
+                        break
+                witness.update(dict.fromkeys(rots, hit))
+            hit = witness[c]
+            if hit is not None:
+                rotation, d = 0, c
+                while d != hit[0]:
+                    rotation += 1
+                    d = (d % size) * k + d // size
+                found.append((c, rotation, hit[1]))
+    words = decode_ranks([c for c, _, _ in found], k, n + 1)
+    return tuple(
+        Obstruction(word=w, rotation=rotation, blocks=blocks)
+        for w, (_, rotation, blocks) in zip(words, found)
+    )
 
 
 def oracle_split_blocks(

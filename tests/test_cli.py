@@ -166,9 +166,12 @@ def test_check_blocked_instance_prints_witnesses(capsys):
     assert any(line.startswith("obstruction ") for line in out.splitlines())
 
 
-@pytest.mark.parametrize("argv", [GOLDEN5, ("--alphabet", "01", "--forbid", "01111", "--span", "4"),
-                                  ("--alphabet", "012", "--forbid", "22", "--span", "4")], ids=" ".join)
-def test_check_builds_no_tuple_graph(monkeypatch, capsys, argv):
+VIEW_ARGVS = [GOLDEN5, ("--alphabet", "01", "--forbid", "01111", "--span", "4"),
+              ("--alphabet", "012", "--forbid", "22", "--span", "4")]
+
+
+def tuple_views_built(monkeypatch, capsys, *argv):
+    """The tuple views of its graph that one successful CLI run built."""
     built = []
 
     def build_and_keep(*args):
@@ -176,9 +179,20 @@ def test_check_builds_no_tuple_graph(monkeypatch, capsys, argv):
         return built[-1]
 
     monkeypatch.setattr(cli, "build_graph", build_and_keep)
-    code, out, _ = run(capsys, "check", *argv)
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and out
-    assert not {"vertices", "arcs", "out"} & set(built[0].__dict__)
+    return {"vertices", "arcs", "out"} & set(built[0].__dict__)
+
+
+@pytest.mark.parametrize("argv", VIEW_ARGVS, ids=" ".join)
+def test_check_builds_no_tuple_graph(monkeypatch, capsys, argv):
+    assert not tuple_views_built(monkeypatch, capsys, "check", *argv)
+
+
+@pytest.mark.parametrize("argv", VIEW_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("command", ["verify", "graph"])
+def test_verify_and_graph_build_no_tuple_graph(monkeypatch, capsys, command, argv):
+    assert not tuple_views_built(monkeypatch, capsys, command, *argv)
 
 
 def test_check_json_round_trip(capsys):

@@ -23,8 +23,9 @@ from debruijn_sft import (
     verify_greedy_decision,
     verify_label_monotonicity,
     verify_overlap_bounds,
+    walk_avoiding,
 )
-from debruijn_sft import structure
+from debruijn_sft import structure, walks
 
 import corpus
 from corpus import (
@@ -32,6 +33,7 @@ from corpus import (
     avoid_sets,
     graph_of,
     oracle_analyze_max_arcs,
+    oracle_candidate_parse_obstructions,
     oracle_cycle_label_blocks,
     oracle_cycle_structure,
     oracle_exhaustion_order,
@@ -335,19 +337,47 @@ def test_exhaustion_order_matches_reference_on_hand_built_graphs():
     assert compared > 500
 
 
-def shuffled_exhaustion_order(walk, g):
+def test_id_and_word_keyed_avoid_sets_agree():
+    # The max-arc set an analysis makes holds arc ids; the same set keyed
+    # by words is checked and turned into ids. Both must walk and verify
+    # alike.
+    for g in graphs_for_overlaps_and_cycles():
+        t = analyze_max_arcs(g)
+        by_ids, by_words = t.avoid_set(), AvoidSet(t.root, dict(t.max_arc))
+        walk = walk_avoiding(g, by_ids)
+        assert walk == walk_avoiding(g, by_words), g.arcs
+        assert exhaustion_order(walk, g) == exhaustion_order(walk_avoiding(g, by_words), g)
+        assert verify_exhaustion_order(g, by_ids) == verify_exhaustion_order(g, by_words)
+        assert by_ids.arc_by_vertex == t.max_arc
+        assert list(by_ids.arc_by_vertex) == list(t.max_arc)
+
+
+def shuffled_exhaustion_times(g, ids):
     """Exhaustion times shuffled among the exhausted vertices: they break
     the ordering fact."""
-    order = exhaustion_order(walk, g)
-    times = list(order.values())
-    random.Random(len(walk.steps)).shuffle(times)
-    return dict(zip(order, times))
+    times = walks._exhaustion_times(g, ids)
+    done = [v for v, t in enumerate(times) if t >= 0]
+    shuffled = [times[v] for v in done]
+    random.Random(len(ids)).shuffle(shuffled)
+    for v, t in zip(done, shuffled):
+        times[v] = t
+    return times
+
+
+def shuffled_exhaustion_order(walk, g):
+    """The same shuffled times, keyed by vertex words, for the references."""
+    times = shuffled_exhaustion_times(g, walks._arc_ids(walk, g))
+    return {g.word_of(v): t for v, t in enumerate(times) if t >= 0}
+
+
+def shuffle_exhaustion_times(monkeypatch):
+    monkeypatch.setattr(structure, "_exhaustion_times", shuffled_exhaustion_times)
+    monkeypatch.setattr(corpus, "exhaustion_order", shuffled_exhaustion_order)
 
 
 def test_exhaustion_order_violations_match_reference(monkeypatch):
     # Both verifiers must report the same violations in the same order.
-    monkeypatch.setattr(structure, "exhaustion_order", shuffled_exhaustion_order)
-    monkeypatch.setattr(corpus, "exhaustion_order", shuffled_exhaustion_order)
+    shuffle_exhaustion_times(monkeypatch)
     rng = random.Random(11)
     flagged = 0
     for spec in ALL_INSTANCES:
@@ -381,8 +411,7 @@ def test_exhaustion_order_matches_upward_reference_at_scale(monkeypatch):
             assert report == oracle_exhaustion_order_upward(g, avoid), g.vertices[-1]
             checks += report.checks
     assert checks > 100_000
-    monkeypatch.setattr(structure, "exhaustion_order", shuffled_exhaustion_order)
-    monkeypatch.setattr(corpus, "exhaustion_order", shuffled_exhaustion_order)
+    shuffle_exhaustion_times(monkeypatch)
     for g in graphs[:2]:
         for avoid in reservations(g):
             report = verify_exhaustion_order(g, avoid)
@@ -457,6 +486,7 @@ def test_obstructions_match_reference():
         got = enumerate_obstructions(g)
         assert got == oracle_obstructions(g), spec
         assert got == oracle_rotation_table_obstructions(g), spec
+        assert got == oracle_candidate_parse_obstructions(g), spec
 
 
 def test_obstructions_match_reference_on_hand_built_graphs():
@@ -467,16 +497,21 @@ def test_obstructions_match_reference_on_hand_built_graphs():
         want = oracle_obstructions(g)
         assert enumerate_obstructions(g) == want, g.arcs
         assert oracle_rotation_table_obstructions(g) == want, g.arcs
+        assert oracle_candidate_parse_obstructions(g) == want, g.arcs
         found += bool(want)
     assert found > 100
 
 
 def test_split_blocks_matches_backtracking_reference():
     # Each rotation is parsed from the block lengths of its word, which
-    # read one flag per letter for whether a block may end there.
+    # read one flag per letter for whether a block may end there; the
+    # cycles of those lengths say which rotations split.
     decomposed = 0
-    for spec in ALL_INSTANCES + random_instances(40):
-        g = graph_of(spec)
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES + random_instances(40)]
+    # In hand-built graphs a word can split from two disjoint sets of
+    # places, such as 0000 into blocks 00 below the maximal vertex 01x.
+    graphs += random_hand_built_graphs(1000, seed=31)
+    for g in graphs:
         words = frozenset(a.tail + (a.label,) for a in g.arcs)
         for w in words:
             may_end = []
@@ -484,12 +519,13 @@ def test_split_blocks_matches_backtracking_reference():
                 arcs = g.out_arcs(w[q + 1 :] + w[:q])
                 may_end.append(not arcs or arcs[-1].label <= w[q])
             block = structure._block_lengths(w, may_end, g.max_vertex)
+            starts = structure._parse_starts(block)
             for r in range(len(w)):
                 rot = w[r:] + w[:r]
-                got = structure._split_blocks(w, r, block, g.max_vertex)
+                got = structure._split_blocks(w, r, block, g.max_vertex) if r in starts else None
                 want = oracle_split_blocks(rot, g.max_vertex, words, g.alphabet.size)
-                assert got == want, (spec, rot)
-                assert oracle_parse_blocks(rot, g) == want, (spec, rot)
+                assert got == want, (g.arcs, rot)
+                assert oracle_parse_blocks(rot, g) == want, (g.arcs, rot)
                 decomposed += got is not None
     assert decomposed
 

@@ -15,6 +15,7 @@ from debruijn_sft import (
     Walk,
     analyze_max_arcs,
     build_graph,
+    check_avoid_set,
     count_eulerian_cycles,
     enumerate_words,
     eulerian_cycle,
@@ -354,6 +355,28 @@ def test_walk_avoiding_validation():
     g = build_graph(Language.from_text("01"), 2)
     with pytest.raises(ValueError):
         walk_avoiding(g, AvoidSet(root=g.max_vertex, arc_by_vertex={}))
+
+
+def test_avoid_set_errors_name_the_broken_rule():
+    # A word-keyed set is checked rule by rule, each with its own text; a
+    # root or key that is no word at all breaks the same rules.
+    g = build_graph(Language.from_text("01"), 2)
+    a = g.alphabet
+    reserved = dict(analyze_max_arcs(g).max_arc)
+    v = a.word("01")
+    cases = [
+        (AvoidSet(None, reserved), "root None is not in the graph"),
+        (AvoidSet(a.word("1"), reserved), r"root \(1,\) is not in the graph"),
+        (AvoidSet(g.max_vertex, {**reserved, 5: reserved[v]}), "exactly one arc"),
+        (AvoidSet(g.max_vertex, {**reserved, g.max_vertex: reserved[v]}), "exactly one arc"),
+        (AvoidSet(g.max_vertex, {u: x for u, x in reserved.items() if u != v}), "exactly one arc"),
+        (AvoidSet(g.max_vertex, {**reserved, v: reserved[a.word("00")]}), r"reserved arc for \(0, 1\)"),
+        (AvoidSet(g.max_vertex, {**reserved, v: Arc(v, 1, v)}), r"reserved arc for \(0, 1\)"),
+    ]
+    for avoid, message in cases:
+        for check in (check_avoid_set, walk_avoiding, verify_exhaustion_order):
+            with pytest.raises(ValueError, match=message):
+                check(g, avoid)
 
 
 def test_exhaustion_order_eulerian_covers_every_vertex():
