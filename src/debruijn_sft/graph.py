@@ -41,6 +41,11 @@ class DeBruijnGraph:
     are the ids first[v] to first[v + 1] - 1, and arc i has head id
     heads[i] and label labels[i]. These tables are the graph.
 
+    `rotation_closed` says that every rotation of an arc word (a tail
+    followed by its label) is an arc word too. `build_graph` sets it, since
+    a circular word's rotations lie in one component; `graph_from_arcs`
+    records whether it holds. False is always sound.
+
     `vertices`, `arcs` and `out` hold the same graph as word tuples and
     `Arc`s. Each is made from the tables when first read and kept; every
     arc shares the one tuple of each of its ends. `max_vertex` alone is
@@ -55,6 +60,7 @@ class DeBruijnGraph:
     first: list[int]
     heads: list[int]
     labels: list[int]
+    rotation_closed: bool = False
     max_vertex: Word = field(init=False)
 
     def __post_init__(self) -> None:
@@ -126,12 +132,14 @@ def graph_from_arcs(
     vertices = sorted({a.tail for a in ordered} | {a.head for a in ordered})
     ids = dict(zip(vertices, range(len(vertices))))
     degree = Counter([a.tail for a in ordered])
+    words = {a.tail + (a.label,) for a in ordered}
     return DeBruijnGraph(
         span, alphabet, language,
         ranks=[encode_word(v, alphabet.size) for v in vertices],
         first=[0, *accumulate(degree[v] for v in vertices)],
         heads=[ids[a.head] for a in ordered],
         labels=[a.label for a in ordered],
+        rotation_closed=all(w[1:] + w[:1] in words for w in words),
     )
 
 
@@ -216,7 +224,7 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
         heads = [new_id[heads[i]] for i in arcs]
         labels = [labels[i] for i in arcs]
         first = [0, *accumulate(first[v + 1] - first[v] for v in kept)]
-    return DeBruijnGraph(n, lang.alphabet, lang, ranks, first, heads, labels)
+    return DeBruijnGraph(n, lang.alphabet, lang, ranks, first, heads, labels, rotation_closed=True)
 
 
 @dataclass(frozen=True)

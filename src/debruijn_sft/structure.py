@@ -27,13 +27,16 @@ fields of `MaxArcAnalysis`, which are views made on first read. The
 exhaustion-order check reads an `AvoidSet` as reserved arc ids too: the
 one an analysis makes holds them, and a word-keyed one is turned into
 them. The max-arc cycles come from one pass that stamps each vertex with
-the walk that first reached it; the same cycle-finder gives, per rotation
-class, the rotations that split into blocks.
+the walk that first reached it. The same cycle-finder runs the obstruction
+search, on a second functional graph with one node per vertex, its top
+out-arc's word, where each step reads one block: a rotation splits into
+blocks when its word lies on a cycle whose blocks sum to a divisor of
+span+1.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import sub
@@ -543,114 +546,95 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
 # ---------------------------------------------------------------------------
 # Independent criterion: obstruction words.
 
-def _block_lengths(w: Word, may_end: list[bool], m: Word) -> list[int]:
-    """For each letter q of the circular word w, the length of the one
-    block that can start there, or 0 when none can.
-
-    A block is a proper prefix of the maximal vertex m followed by a letter
-    below m's next letter, so the only candidate block ends at the first
-    letter where w departs from m. may_end[q] says whether a block may end
-    at letter q, that is whether no larger letter there stays in the
-    language.
-    """
-    n, size = len(m), len(w)
-    ww = w + w   # a block is shorter than w
-    out = []
-    for q in range(size):
-        s = 0
-        while s < n and ww[q + s] == m[s]:
-            s += 1
-        p = q + s
-        out.append(s + 1 if s < n and ww[p] < m[s] and may_end[p % size] else 0)
-    return out
-
-
-def _parse_starts(block: list[int]) -> list[int]:
-    """The places of a circular word at which a rotation starts that splits
-    into blocks, read from the word's block lengths.
-
-    A parse from place j goes to (q + block[q]) mod L from each place q,
-    L being the word's length, and stops where no block starts. It splits
-    the rotation at j exactly when it comes back to j after block lengths
-    that sum to L: so j lies on a cycle of that functional graph whose
-    block lengths sum to L, and not to a larger multiple of L.
-    """
-    size = len(block)
-    if not any(block):
-        return []
-    succ = [(q + b) % size if b else -1 for q, b in enumerate(block)]
-    return [
-        q for cyc in _functional_cycles(succ) if sum([block[q] for q in cyc]) == size
-        for q in cyc
-    ]
-
-
-def _split_blocks(
-    w: Word, j: int, block: list[int], m: Word,
-) -> tuple[tuple[Word, int], ...]:
-    """The block decomposition of the rotation of w by j places, read from
-    its block lengths; j is one of `_parse_starts(block)`."""
-    size = len(w)
-    blocks = []
-    p, end = j, j + size
-    while p < end:
-        b = block[p % size]
-        blocks.append((m[: b - 1], w[(p + b - 1) % size]))
-        p += b
-    return tuple(blocks)
-
-
 def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
     """All arc words admitting an obstruction decomposition on some
     rotation, with one witness each.
 
-    Splits rotations into blocks, independent of the max-arc subgraph.
-    The outcome depends only on a word's rotation class, so one table maps
-    the rank of every rotation of each class seen to the class's witness,
-    or to None. Rotating the word of rank c by one place gives rank
-    (c % k**n) * k + c // k**n, whose first letter is c // k**n. So a
-    class's letters, and one flag per letter for whether a block may end
-    there, come from its rotations' ranks; the obstruction words found are
-    the only words decoded. A class is parsed once: the cycles of its
-    block lengths give every rotation that splits, the witness is the
-    least of their ranks, and only its blocks are read. A class in which
-    no block may end anywhere has no witness.
+    Splits rotations into blocks on word ranks, independent of the max-arc
+    subgraph. With L = span+1, a block may end at letter p of a circular
+    word when no larger letter there stays in the language: when the
+    rotation that starts at letter p+1, whose label is letter p, is its
+    tail's top out-arc or has a larger label (a block-end word). Its tail
+    is the L-1 letters after the block, so it is the rotation that starts
+    the next block, and every split starts at a block-end word. From one,
+    c, whose tail t is below the maximal vertex m, the only block is
+    b = lcp(t, m) + 1 letters long, the number of thresholds
+    `m // k**(n-s) * k**(n-s)` at or below t, and the next block end is c
+    rotated by b places. So the search is one functional graph: node v is
+    vertex v's top out-arc, and a graph whose arc words are not closed
+    under rotation adds, as later nodes, the rotations of its arc words
+    that are no arc word and may end a block. A rotation splits exactly
+    when its node lies on a cycle whose block lengths sum to a divisor of
+    L (the word repeats with that period); the witness of a class is its
+    least rank on such cycles, and only obstructed classes are expanded
+    into their arc words.
     """
     k, n = g.alphabet.size, g.span
+    ranks, first, labels = g.ranks, g.first, g.labels
+    vertices, m = len(ranks), ranks[-1]
+    floors = [m // k ** (n - s) * k ** (n - s) for s in range(n)]
+    # Rotating c by b places gives c % low[b] * high[b] + c // low[b].
+    low = [k ** (n + 1 - b) for b in range(n + 1)]
+    high = [k ** b for b in range(n + 1)]
     size = k ** n
-    m = g.max_vertex
-    first, labels = g.first, g.labels
-    # The label of each vertex's maximum out-arc, by vertex rank.
-    top = {r: labels[f - 1] for r, e, f in zip(g.ranks, first, first[1:]) if e < f}
-    witness: dict[int, tuple[int, tuple[tuple[Word, int], ...]] | None] = {}
-    found: list[tuple[int, int, tuple[tuple[Word, int], ...]]] = []
-    for v, r in enumerate(g.ranks):   # arc order, so words come out in order
-        for i in range(first[v], first[v + 1]):
-            c = r * k + labels[i]
-            if c not in witness:
-                rots = [c]
+
+    def out_labels(t: int) -> list[int]:
+        """The out-labels of the vertex of rank t; none when t is no vertex."""
+        v = bisect_left(ranks, t)
+        return labels[first[v] : first[v + 1]] if v < vertices and ranks[v] == t else []
+
+    ends = [r * k + labels[f - 1] if e < f else -1 for r, e, f in zip(ranks, first, first[1:])]
+    extra: list[int] = []   # ascending; node vertices + j is extra[j]
+    if not g.rotation_closed:
+        for v, r in enumerate(ranks):
+            for x in labels[first[v] : first[v + 1]]:
+                d = r * k + x
                 for _ in range(n):
-                    d = rots[-1]
-                    rots.append((d % size) * k + d // size)
-                # Letter q ends the arc word of the rotation after it: its tail
-                # is that rotation's first n letters.
-                may_end = [top.get(d // k, -1) <= d % k for d in rots[1:] + rots[:1]]
-                hit = None
-                if True in may_end:
-                    w = tuple([d // size for d in rots])
-                    block = _block_lengths(w, may_end, m)
-                    starts = _parse_starts(block)
-                    if starts:
-                        j = min(starts, key=rots.__getitem__)
-                        hit = (rots[j], _split_blocks(w, j, block, m))
-                witness.update(dict.fromkeys(rots, hit))
-            hit = witness[c]
-            if hit is not None:
-                rotation, d = 0, c
-                while d != hit[0]:
-                    rotation += 1
-                    d = (d % size) * k + d // size
-                found.append((c, rotation, hit[1]))
+                    d = d % size * k + d // size
+                    out = out_labels(d // k)
+                    if not out or out[-1] < d % k:
+                        extra.append(d)
+        extra = sorted(set(extra))
+        ends += extra
+    succ = [-1] * len(ends)
+    for i, c in enumerate(ends):
+        t = c // k
+        if 0 <= t < m:
+            b = bisect_right(floors, t)
+            d = c % low[b] * high[b] + c // low[b]
+            v = bisect_left(ranks, d // k)
+            if v < vertices and ends[v] == d:
+                succ[i] = v
+            elif extra:
+                v = bisect_left(extra, d)
+                if v < len(extra) and extra[v] == d:
+                    succ[i] = vertices + v
+    word = g.max_vertex
+    classes = []   # (least rank of the class, rotations from its witness on, blocks)
+    for cyc in _functional_cycles(succ):
+        lengths = [bisect_right(floors, ends[i] // k) for i in cyc]
+        if (n + 1) % sum(lengths):
+            continue
+        j = cyc.index(min(cyc, key=ends.__getitem__))
+        blocks = tuple(
+            (word[: b - 1], ends[i] // low[b] % k)
+            for i, b in zip(cyc[j:] + cyc[:j], lengths[j:] + lengths[:j])
+        ) * ((n + 1) // sum(lengths))
+        rots = [ends[cyc[j]]]
+        for _ in range(n):
+            rots.append(rots[-1] % size * k + rots[-1] // size)
+        classes.append((min(rots), rots, blocks))
+    classes.sort()
+    found = []
+    for i, (least, rots, blocks) in enumerate(classes):
+        if i and classes[i - 1][0] == least:
+            continue   # another cycle of the class, with a larger witness
+        period = (rots + rots[:1]).index(rots[0], 1)   # the witness's first repeat
+        found += [
+            (c, -r % period, blocks) for r, c in enumerate(rots[:period])
+            if c % k in out_labels(c // k)
+        ]
+    found.sort()
     words = decode_ranks([c for c, _, _ in found], k, n + 1)
     return tuple(
         Obstruction(word=w, rotation=rotation, blocks=blocks)

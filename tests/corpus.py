@@ -921,13 +921,127 @@ def oracle_candidate_parse_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, 
                     rots.append((d % size) * k + d // size)
                 w = tuple([d // size for d in rots])
                 may_end = [top.get(d // k, -1) <= d % k for d in rots[1:] + rots[:1]]
-                block = structure._block_lengths(w, may_end, m)
+                block = oracle_block_lengths(w, may_end, m)
                 hit = None
                 for cand in sorted(set(rots)):
                     blocks = parse(w, rots.index(cand), block)
                     if blocks is not None:
                         hit = (cand, blocks)
                         break
+                witness.update(dict.fromkeys(rots, hit))
+            hit = witness[c]
+            if hit is not None:
+                rotation, d = 0, c
+                while d != hit[0]:
+                    rotation += 1
+                    d = (d % size) * k + d // size
+                found.append((c, rotation, hit[1]))
+    words = decode_ranks([c for c, _, _ in found], k, n + 1)
+    return tuple(
+        Obstruction(word=w, rotation=rotation, blocks=blocks)
+        for w, (_, rotation, blocks) in zip(words, found)
+    )
+
+
+def oracle_block_lengths(w: Word, may_end: list[bool], m: Word) -> list[int]:
+    """For each letter q of the circular word w, the length of the one
+    block that can start there, or 0 when none can.
+
+    A block is a proper prefix of the maximal vertex m followed by a letter
+    below m's next letter, so the only candidate block ends at the first
+    letter where w departs from m. may_end[q] says whether a block may end
+    at letter q, that is whether no larger letter there stays in the
+    language.
+    """
+    n, size = len(m), len(w)
+    ww = w + w   # a block is shorter than w
+    out = []
+    for q in range(size):
+        s = 0
+        while s < n and ww[q + s] == m[s]:
+            s += 1
+        p = q + s
+        out.append(s + 1 if s < n and ww[p] < m[s] and may_end[p % size] else 0)
+    return out
+
+
+def oracle_parse_starts(block: list[int]) -> list[int]:
+    """The places of a circular word at which a rotation starts that splits
+    into blocks, read from the word's block lengths.
+
+    A parse from place j goes to (q + block[q]) mod L from each place q,
+    L being the word's length, and stops where no block starts. It splits
+    the rotation at j exactly when it comes back to j after block lengths
+    that sum to L: so j lies on a cycle of that functional graph whose
+    block lengths sum to L, and not to a larger multiple of L.
+    """
+    size = len(block)
+    if not any(block):
+        return []
+    succ = [(q + b) % size if b else -1 for q, b in enumerate(block)]
+    return [
+        q for cyc in structure._functional_cycles(succ) if sum([block[q] for q in cyc]) == size
+        for q in cyc
+    ]
+
+
+def oracle_block_split(
+    w: Word, j: int, block: list[int], m: Word,
+) -> tuple[tuple[Word, int], ...]:
+    """The block decomposition of the rotation of w by j places, read from
+    its block lengths; j is one of `oracle_parse_starts(block)`."""
+    size = len(w)
+    blocks = []
+    p, end = j, j + size
+    while p < end:
+        b = block[p % size]
+        blocks.append((m[: b - 1], w[(p + b - 1) % size]))
+        p += b
+    return tuple(blocks)
+
+
+def oracle_class_parse_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
+    """Reference for structure.enumerate_obstructions that visits every
+    arc and parses each rotation class once, from its letters.
+
+    The outcome depends only on a word's rotation class, so one table maps
+    the rank of every rotation of each class seen to the class's witness,
+    or to None. Rotating the word of rank c by one place gives rank
+    (c % k**n) * k + c // k**n, whose first letter is c // k**n. So a
+    class's letters, and one flag per letter for whether a block may end
+    there, come from its rotations' ranks; the obstruction words found are
+    the only words decoded. A class is parsed once: the cycles of its
+    block lengths give every rotation that splits, the witness is the
+    least of their ranks, and only its blocks are read. A class in which
+    no block may end anywhere has no witness.
+    """
+    k, n = g.alphabet.size, g.span
+    size = k ** n
+    m = g.max_vertex
+    first, labels = g.first, g.labels
+    # The label of each vertex's maximum out-arc, by vertex rank.
+    top = {r: labels[f - 1] for r, e, f in zip(g.ranks, first, first[1:]) if e < f}
+    witness: dict[int, tuple[int, tuple[tuple[Word, int], ...]] | None] = {}
+    found: list[tuple[int, int, tuple[tuple[Word, int], ...]]] = []
+    for v, r in enumerate(g.ranks):   # arc order, so words come out in order
+        for i in range(first[v], first[v + 1]):
+            c = r * k + labels[i]
+            if c not in witness:
+                rots = [c]
+                for _ in range(n):
+                    d = rots[-1]
+                    rots.append((d % size) * k + d // size)
+                # Letter q ends the arc word of the rotation after it: its tail
+                # is that rotation's first n letters.
+                may_end = [top.get(d // k, -1) <= d % k for d in rots[1:] + rots[:1]]
+                hit = None
+                if True in may_end:
+                    w = tuple([d // size for d in rots])
+                    block = oracle_block_lengths(w, may_end, m)
+                    starts = oracle_parse_starts(block)
+                    if starts:
+                        j = min(starts, key=rots.__getitem__)
+                        hit = (rots[j], oracle_block_split(w, j, block, m))
                 witness.update(dict.fromkeys(rots, hit))
             hit = witness[c]
             if hit is not None:

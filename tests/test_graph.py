@@ -353,3 +353,21 @@ def test_arc_is_an_immutable_record():
     assert len({arc, twin, Arc((0, 1), 0, (1, 0))}) == 2
     with pytest.raises(AttributeError):
         arc.label = 0
+
+
+def test_rotation_closure_is_recorded_with_the_arcs():
+    # Every rotation of a language graph's arc word is an arc word;
+    # graph_from_arcs finds out from the arcs themselves, so a language
+    # passed along with arbitrary arcs does not make them closed.
+    for spec in ALL_INSTANCES:
+        g = graph_of(spec)
+        assert g.rotation_closed
+        assert graph_from_json(graph_to_json(g)).rotation_closed, spec
+        # Without one arc of a class of several words, the class is open.
+        for drop in [a for a in g.arcs if len(set(a.tail + (a.label,))) > 1][:1]:
+            rest = [a for a in g.arcs if a != drop]
+            assert not graph_from_arcs(g.span, g.alphabet, rest, g.language).rotation_closed
+    one_loop = graph_from_arcs(2, GOLDEN.alphabet, [Arc((0, 0), 0, (0, 0))], GOLDEN)
+    assert one_loop.rotation_closed
+    open_arc = graph_from_arcs(2, GOLDEN.alphabet, [Arc((1, 0), 0, (1, 1))], GOLDEN)
+    assert not open_arc.rotation_closed

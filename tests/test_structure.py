@@ -3,11 +3,15 @@ import random
 import pytest
 
 from debruijn_sft import (
+    Alphabet,
     AmbiguousComponentError,
+    Arc,
     AvoidSet,
+    DeBruijnGraph,
     Decision,
     EmptyGraphError,
     Language,
+    Obstruction,
     analysis_to_json,
     analyze_max_arcs,
     build_graph,
@@ -16,6 +20,7 @@ from debruijn_sft import (
     decide_minimal_is_eulerian,
     enumerate_obstructions,
     exhaustion_order,
+    graph_from_arcs,
     minimal_walk,
     verify_cycle_structure,
     verify_exhaustion_order,
@@ -33,7 +38,10 @@ from corpus import (
     avoid_sets,
     graph_of,
     oracle_analyze_max_arcs,
+    oracle_block_lengths,
+    oracle_block_split,
     oracle_candidate_parse_obstructions,
+    oracle_class_parse_obstructions,
     oracle_cycle_label_blocks,
     oracle_cycle_structure,
     oracle_exhaustion_order,
@@ -46,6 +54,7 @@ from corpus import (
     oracle_obstructions,
     oracle_overlap_bounds,
     oracle_parse_blocks,
+    oracle_parse_starts,
     oracle_rotation_table_obstructions,
     oracle_split_blocks,
     random_hand_built_graphs,
@@ -487,6 +496,7 @@ def test_obstructions_match_reference():
         assert got == oracle_obstructions(g), spec
         assert got == oracle_rotation_table_obstructions(g), spec
         assert got == oracle_candidate_parse_obstructions(g), spec
+        assert got == oracle_class_parse_obstructions(g), spec
 
 
 def test_obstructions_match_reference_on_hand_built_graphs():
@@ -498,8 +508,94 @@ def test_obstructions_match_reference_on_hand_built_graphs():
         assert enumerate_obstructions(g) == want, g.arcs
         assert oracle_rotation_table_obstructions(g) == want, g.arcs
         assert oracle_candidate_parse_obstructions(g) == want, g.arcs
+        assert oracle_class_parse_obstructions(g) == want, g.arcs
         found += bool(want)
     assert found > 100
+
+
+def test_periodic_class_rotation_is_below_its_period():
+    # At golden mean span 5 the class of 100100 has period 3: its witness
+    # 100100 splits as 100 | 100, a block cycle that sums to 3, a proper
+    # divisor of 6. Each word's rotation is the least that reaches it.
+    g = graph_of(GOLDEN5)
+    obs = enumerate_obstructions(g)
+    assert obs == oracle_class_parse_obstructions(g) == oracle_obstructions(g)
+    assert [(g.alphabet.text(o.word), o.rotation) for o in obs] == [
+        ("001001", 2), ("010010", 1), ("100100", 0),
+    ]
+    assert {o.blocks for o in obs} == {(((1, 0), 0),) * 2}
+
+
+def test_open_class_witness_need_not_be_an_arc_word():
+    # One arc 10 -0-> 11: its word 100 is the only arc word of its class,
+    # and the witness 010 splits as 0 | 10, where 010's tail 01 is no
+    # vertex, so a block may end before it.
+    g = graph_from_arcs(2, Alphabet.from_text("01"), [Arc((1, 0), 0, (1, 1))])
+    assert not g.rotation_closed
+    want = (Obstruction(word=(1, 0, 0), rotation=2, blocks=(((), 0), ((1,), 0))),)
+    assert enumerate_obstructions(g) == want == oracle_class_parse_obstructions(g)
+    assert oracle_obstructions(g) == want
+
+
+def test_word_splitting_from_two_disjoint_sets_of_places():
+    # 0000 splits into blocks 00 below the maximal vertex 011 from places
+    # 0, 2 and from places 1, 3; as a rank it is one node whose block
+    # cycle sums to 2, a divisor of 4.
+    g = graph_from_arcs(3, Alphabet.from_text("01"), [
+        Arc((0, 0, 0), 0, (0, 0, 0)), Arc((0, 1, 1), 0, (0, 0, 0)),
+    ])
+    w = (0, 0, 0, 0)
+    block = oracle_block_lengths(w, [True] * 4, g.max_vertex)
+    assert block == [2, 2, 2, 2] and sorted(oracle_parse_starts(block)) == [0, 1, 2, 3]
+    want = (Obstruction(word=w, rotation=0, blocks=(((0,), 0), ((0,), 0))),)
+    assert enumerate_obstructions(g) == want == oracle_class_parse_obstructions(g)
+    assert oracle_obstructions(g) == want
+
+
+def test_obstructions_match_reference_at_scale():
+    # Binary spans 12-15 and ternary spans 7-8, with golden mean span 18
+    # and 01111 span 14 (thousands of vertices, hundreds of obstructions).
+    rng = random.Random(20261019)
+    cases = [(lang, rng.randint(12, 15)) for lang in random_languages(rng, "01", 8)]
+    cases += [(lang, rng.randint(7, 8)) for lang in random_languages(rng, "012", 4)]
+    cases += [(Language.from_text("01", ("11",)), 18), (Language.from_text("01", ("01111",)), 14)]
+    found = compared = 0
+    for lang, n in cases:
+        try:
+            g = build_graph(lang, n)
+        except (EmptyGraphError, AmbiguousComponentError):
+            continue
+        want = oracle_class_parse_obstructions(g)
+        assert enumerate_obstructions(g) == want, (lang, n)
+        found += len(want)
+        compared += 1
+    assert compared >= len(cases) // 2 and found > 500
+
+
+def test_obstruction_search_reads_no_max_arc_analysis(monkeypatch):
+    # The two criteria stay independent: the search reads the graph alone.
+    def refuse(*args):
+        raise AssertionError("the obstruction search read the max-arc analysis")
+
+    monkeypatch.setattr(structure, "analyze_max_arcs", refuse)
+    monkeypatch.setattr(structure, "_analysis", refuse)
+    for spec in ALL_INSTANCES + random_instances(40):
+        g = graph_of(spec)
+        assert enumerate_obstructions(g) == oracle_obstructions(g), spec
+    with pytest.raises(AssertionError):
+        structure.decide_minimal_is_eulerian(graph_of(GOLDEN5))
+
+
+def test_obstructions_do_not_depend_on_the_closure_flag():
+    # rotation_closed only spares the scan for rotations that are no arc
+    # word; a graph that claims nothing takes the same path to the same
+    # result.
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES]
+    graphs += random_hand_built_graphs(300, seed=41)
+    for g in graphs:
+        plain = DeBruijnGraph(g.span, g.alphabet, g.language, g.ranks, g.first, g.heads, g.labels)
+        assert not plain.rotation_closed
+        assert enumerate_obstructions(plain) == enumerate_obstructions(g), g.arcs
 
 
 def test_split_blocks_matches_backtracking_reference():
@@ -518,11 +614,11 @@ def test_split_blocks_matches_backtracking_reference():
             for q in range(len(w)):
                 arcs = g.out_arcs(w[q + 1 :] + w[:q])
                 may_end.append(not arcs or arcs[-1].label <= w[q])
-            block = structure._block_lengths(w, may_end, g.max_vertex)
-            starts = structure._parse_starts(block)
+            block = oracle_block_lengths(w, may_end, g.max_vertex)
+            starts = oracle_parse_starts(block)
             for r in range(len(w)):
                 rot = w[r:] + w[:r]
-                got = structure._split_blocks(w, r, block, g.max_vertex) if r in starts else None
+                got = oracle_block_split(w, r, block, g.max_vertex) if r in starts else None
                 want = oracle_split_blocks(rot, g.max_vertex, words, g.alphabet.size)
                 assert got == want, (g.arcs, rot)
                 assert oracle_parse_blocks(rot, g) == want, (g.arcs, rot)

@@ -7,9 +7,11 @@ from collections import Counter
 import pytest
 
 from debruijn_sft import (
+    AmbiguousComponentError,
     Arc,
     AvoidSet,
     DeBruijnGraph,
+    EmptyGraphError,
     Language,
     NotEulerianError,
     Walk,
@@ -17,6 +19,7 @@ from debruijn_sft import (
     build_graph,
     check_avoid_set,
     count_eulerian_cycles,
+    decide_minimal_is_eulerian,
     enumerate_words,
     eulerian_cycle,
     exhaustion_order,
@@ -236,6 +239,52 @@ def test_minimal_walk_full_language_is_fkm_sequence(alphabet, spans):
         g = build_graph(Language.from_text(alphabet), n)
         fkm = tuple(x for w in lyndon_words(k, n + 1) if (n + 1) % len(w) == 0 for x in w)
         assert minimal_walk(g).label == fkm, n
+
+
+def lyndon_circuit(g):
+    """The Lyndon roots of the arc-word classes of g, concatenated in
+    lexicographic order: the FKM sequence, for the full language."""
+    roots = set()
+    for a in g.arcs:
+        w = a.tail + (a.label,)
+        least = min(w[r:] + w[:r] for r in range(len(w)))
+        p = next(p for p in range(1, len(w) + 1) if least[:p] * (len(w) // p) == least)
+        roots.add(least[:p])
+    return tuple(x for root in sorted(roots) for x in root)
+
+
+def test_lyndon_circuit_is_the_greedy_label_when_it_is_a_circuit():
+    # Observed, not proved: once span+1 reaches the longest forbidden
+    # word, a Lyndon concatenation that is an Eulerian circuit (every arc
+    # word once, cyclically) is the greedy label, read from just after
+    # the first place where it spells the maximal vertex m.
+    rng = random.Random(20261019)
+    held = 0
+    for _ in range(700):
+        alphabet = rng.choice(["01", "012"])
+        forbid = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 5)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        lang = Language.from_text(alphabet, forbid)
+        n = rng.randint(lang.max_forbidden_len - 1, 10 if alphabet == "01" else 5)
+        try:
+            g = build_graph(lang, n)
+        except (EmptyGraphError, AmbiguousComponentError):
+            continue
+        circuit = lyndon_circuit(g)
+        words = {a.tail + (a.label,) for a in g.arcs}
+        if len(circuit) != len(words) or set(cyclic_windows(circuit, n + 1)) != words:
+            continue
+        held += 1
+        assert decide_minimal_is_eulerian(g).answer, (alphabet, forbid, n)
+        size = len(circuit)
+        p = next(
+            p for p in range(size)
+            if tuple(circuit[(p - n + i) % size] for i in range(n)) == g.max_vertex
+        )
+        assert minimal_walk(g).label == circuit[p:] + circuit[:p], (alphabet, forbid, n)
+    assert held > 150, held
 
 
 def test_greedy_walks_match_used_set_reference():
