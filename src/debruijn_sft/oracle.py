@@ -20,9 +20,10 @@ DEFAULT_MAX_ARCS = 24
 
 
 def _guard(g: DeBruijnGraph, max_arcs: int) -> None:
-    if len(g.arcs) > max_arcs:
+    # Counted on the id tables, so a refusal builds no `Arc`.
+    if len(g.heads) > max_arcs:
         raise TooLargeError(
-            f"{len(g.arcs)} arcs exceeds the exhaustive bound of {max_arcs}"
+            f"{len(g.heads)} arcs exceeds the exhaustive bound of {max_arcs}"
         )
 
 

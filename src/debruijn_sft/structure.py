@@ -26,12 +26,15 @@ words: the cycles, the obstructions, violation texts, and the word-keyed
 fields of `MaxArcAnalysis`, which are views made on first read. The
 exhaustion-order check reads an `AvoidSet` as reserved arc ids too: the
 one an analysis makes holds them, and a word-keyed one is turned into
-them. The max-arc cycles come from one pass that stamps each vertex with
-the walk that first reached it. The same cycle-finder runs the obstruction
-search, on a second functional graph with one node per vertex, its top
-out-arc's word, where each step reads one block: a rotation splits into
-blocks when its word lies on a cycle whose blocks sum to a divisor of
-span+1.
+them. The max-arc subgraph is one map on ids: two tables, made once on
+first read, give the head and the label of each vertex's max arc, -1 at
+the root, and the verifiers that follow max arcs read them. The look-ahead
+along max-arc walks is a power of that map, by repeated squaring. The
+max-arc cycles come from one pass that stamps each vertex with the walk
+that first reached it. The same cycle-finder runs the obstruction search,
+on a second functional graph with one node per vertex, its top out-arc's
+word, where each step reads one block: a rotation splits into blocks when
+its word lies on a cycle whose blocks sum to a divisor of span+1.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class MaxArcAnalysis:
     The analysis lives on the graph's vertex ids. `_arc[v]` is the id of
     v's maximum out-arc and `_state[v]` the length of v's overlap, read
     from v's own letters; both are -1 at the root, the last id. `_cycles`
-    holds the cycles on ids, in the order of `cycles`. `max_arc`,
+    holds the cycles on ids, in the order of `cycles`. `_succ` and
+    `_label`, the head and the label of each vertex's max arc (-1 at the
+    root), are made from `_arc` when first read and kept. `max_arc`,
     `overlap`, `overlap_next`, `max_label`, `floor` and `restricted` hold
     the same data keyed by vertex words; each is made from the id tables
     when first read and kept, as the graph's own tuple views are.
@@ -84,8 +89,7 @@ class MaxArcAnalysis:
 
     @cached_property
     def max_label(self) -> dict[Word, int]:
-        labels = self.graph.labels
-        return dict(zip(self.graph.vertices[:-1], map(labels.__getitem__, self._arc[:-1])))
+        return dict(zip(self.graph.vertices[:-1], self._label))
 
     @cached_property
     def floor(self) -> frozenset[Word]:
@@ -93,14 +97,30 @@ class MaxArcAnalysis:
 
     @cached_property
     def restricted(self) -> frozenset[Word]:
-        labels, root = self.graph.labels, self.root
+        root = self.root
         return frozenset(
-            v for v, a, s in zip(self.graph.vertices, self._arc[:-1], self._state[:-1])
-            if labels[a] < root[s]
+            v for v, x, s in zip(self.graph.vertices[:-1], self._label, self._state)
+            if x < root[s]
         )
+
+    @cached_property
+    def _succ(self) -> list[int]:
+        return _by_max_arc(self._arc, self.graph.heads)
+
+    @cached_property
+    def _label(self) -> list[int]:
+        return _by_max_arc(self._arc, self.graph.labels)
 
     def avoid_set(self) -> AvoidSet:
         return AvoidSet._of_ids(self.graph, self.root, self._arc)
+
+
+def _by_max_arc(arc: list[int], table: list[int]) -> list[int]:
+    """The entry of an arc table at each vertex's max arc, by vertex id;
+    -1 at the root."""
+    out = [table[a] for a in arc]
+    out[-1] = -1
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,9 +239,7 @@ def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
 def _analysis(g: DeBruijnGraph, arc: list[int], state: list[int]) -> MaxArcAnalysis:
     """The analysis with the given max-arc and overlap-state tables, and
     the cycles of those arcs."""
-    top = len(arc) - 1
-    succ = [g.heads[a] for a in arc]
-    succ[top] = -1
+    succ = _by_max_arc(arc, g.heads)
     # The root has no exit, so paths either reach it or wind into a cycle.
     # Ids follow word order, so the least id starts each cycle and id
     # tuples sort as the word tuples do.
@@ -262,47 +280,21 @@ def classify_vertex(t: MaxArcAnalysis, v: Word) -> VertexClass:
 # Lemma-level verifiers. Each replays one structural fact over the whole
 # graph and reports violations; all must come back empty.
 
-def _max_labels(t: MaxArcAnalysis) -> list[int]:
-    """The label of each vertex's max arc, by id; -1 at the root."""
-    labels = t.graph.labels
-    out = [labels[a] for a in t._arc]
-    out[-1] = -1
-    return out
-
-
 def _ahead(t: MaxArcAnalysis, steps: int) -> list[int]:
     """The vertex each vertex reaches by `steps` max arcs, by id; -1 when
     its walk reaches the root in fewer steps.
 
-    One pass down from the root and from each cycle vertex, keeping the
-    path back up, so the answer is read off that path; past a cycle
-    vertex the walk goes on around its cycle.
+    The `steps`-th power of the map v -> `t._succ[v]`, by repeated
+    squaring. Index -1 reads the root's own entry, which is -1 in every
+    power, so a walk that reaches the root early stays at -1.
     """
-    g = t.graph
-    heads = g.heads
-    on_cycle = [False] * len(t._arc)
-    bases = [(len(t._arc) - 1, (), 0)]   # (vertex, its cycle, its place there)
-    for cyc in t._cycles:
-        for j, v in enumerate(cyc):
-            on_cycle[v] = True
-            bases.append((v, cyc, j))
-    below: list[list[int]] = [[] for _ in t._arc]
-    for v, a in enumerate(t._arc[:-1]):
-        if not on_cycle[v]:
-            below[heads[a]].append(v)
-    out = [-1] * len(t._arc)
-    for base, cyc, j in bases:
-        path: list[int] = []
-        todo = [(base, 0)]
-        while todo:
-            v, depth = todo.pop()
-            del path[depth:]
-            path.append(v)
-            if depth >= steps:
-                out[v] = path[depth - steps]
-            elif cyc:
-                out[v] = cyc[(j + steps - depth) % len(cyc)]
-            todo.extend((u, depth + 1) for u in below[v])
+    out, power = list(range(len(t._succ))), t._succ
+    while steps:
+        if steps & 1:
+            out = [power[v] for v in out]
+        steps >>= 1
+        if steps:
+            power = [power[v] for v in power]
     return out
 
 
@@ -311,7 +303,7 @@ def verify_label_monotonicity(t: MaxArcAnalysis) -> VerificationReport:
     exceeds the label taken span+1 steps later."""
     g = t.graph
     length = g.span + 2
-    label = _max_labels(t)
+    label = t._label
     checks = 0
     violations = []
     # A walk that ends at the root within span+1 steps makes no check.
@@ -332,7 +324,7 @@ def verify_cycle_structure(t: MaxArcAnalysis) -> VerificationReport:
     word u plus its max label equals the loop label read from u's
     successor, repeated; restricted and floor counts agree per cycle."""
     n = t.graph.span
-    label = _max_labels(t)
+    label = t._label
     checks = 0
     violations = []
     for cyc, ids in zip(t.cycles, t._cycles):
@@ -402,9 +394,7 @@ def verify_floor_paths(t: MaxArcAnalysis) -> VerificationReport:
     the label is still a prefix of m and its length is u's state: one
     comparison per step."""
     g = t.graph
-    m, state, arc = t.root, t._state, t._arc
-    heads = g.heads
-    label = _max_labels(t)
+    m, state, succ, label = t.root, t._state, t._succ, t._label
     n = len(m)
     top = len(state) - 1   # the root
     seen = [-1] * len(state)   # the floor vertex whose path last met each vertex
@@ -431,7 +421,7 @@ def verify_floor_paths(t: MaxArcAnalysis) -> VerificationReport:
                 break
             prefix = prefix and len(spelled) < n and x == m[len(spelled)]
             spelled.append(x)
-            cur = heads[arc[cur]]
+            cur = succ[cur]
             if seen[cur] == f:
                 break
             seen[cur] = f
@@ -447,7 +437,7 @@ def check_cycle_label_blocks(t: MaxArcAnalysis, cycle: tuple[Word, ...]) -> Veri
         raise ValueError("not a cycle of this analysis")
     n = t.graph.span
     m, state = t.root, t._state
-    label = _max_labels(t)
+    label = t._label
     ids = t._cycles[t.cycles.index(cycle)]
     rest = [(u, v) for u, v in zip(cycle, ids) if label[v] < m[state[v]]]
     if not rest:
@@ -677,7 +667,7 @@ def verify_greedy_decision(decision: Decision) -> VerificationReport:
         violations.append(
             f"decision {decision.answer} but greedy walk eulerian={walk.is_eulerian(g)}"
         )
-    label = _max_labels(t)
+    label = t._label
     obstruction_words = {o.word for o in decision.obstructions}
     for cyc, ids in zip(t.cycles, t._cycles):
         divides = (g.span + 1) % len(cyc) == 0
@@ -686,18 +676,20 @@ def verify_greedy_decision(decision: Decision) -> VerificationReport:
             if not divides or u + (label[v],) not in obstruction_words:
                 violations.append(f"cycle word for {u} missing from obstructions")
     # Each rotation, as a rank c, must be the max arc of its tail c // k,
-    # with label c % k and head c % k**n.
+    # with label c % k and head c % k**n; the root's label is -1.
     k = g.alphabet.size
     size = k ** g.span
-    ranks, heads = g.ranks, g.heads
+    ranks, succ = g.ranks, t._succ
     for o in decision.obstructions:
         w = o.word
         c = encode_word(w, k)
         for r in range(len(w)):
             checks += 1
             v = bisect_left(ranks, c // k)
-            a = t._arc[v] if v < len(ranks) and ranks[v] == c // k else -1
-            if a < 0 or g.labels[a] != c % k or ranks[heads[a]] != c % size:
+            if (
+                v == len(ranks) or ranks[v] != c // k
+                or label[v] != c % k or ranks[succ[v]] != c % size
+            ):
                 violations.append(
                     f"obstruction {w}: rotation {w[r:] + w[:r]} is not a max-arc of the graph"
                 )

@@ -77,12 +77,11 @@ class Walk:
     def is_eulerian(self, g: DeBruijnGraph) -> bool:
         if self._graph is g:   # the walkers spend each arc at most once
             return self.is_closed and len(self._ids) == len(g.heads)
-        steps = self.steps
-        return (
-            self.is_closed
-            and len(steps) == len(g.heads)
-            and len(set(steps)) == len(steps)
-        )
+        try:
+            ids = _arc_ids(self, g)
+        except ValueError:   # the steps do not chain through arcs of g
+            return False
+        return self.is_closed and len(ids) == len(g.heads) and len(set(ids)) == len(ids)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -573,6 +573,42 @@ def oracle_max_arc_labels(t, start: Word, k: int) -> Word:
     return tuple(labels)
 
 
+def oracle_ahead(t, steps: int) -> list[int]:
+    """The vertex each vertex reaches by `steps` max arcs, by id; -1 when
+    its walk reaches the root in fewer steps.
+
+    One pass down from the root and from each cycle vertex, keeping the
+    path back up, so the answer is read off that path; past a cycle
+    vertex the walk goes on around its cycle.
+    """
+    g = t.graph
+    heads = g.heads
+    on_cycle = [False] * len(t._arc)
+    bases = [(len(t._arc) - 1, (), 0)]   # (vertex, its cycle, its place there)
+    for cyc in t._cycles:
+        for j, v in enumerate(cyc):
+            on_cycle[v] = True
+            bases.append((v, cyc, j))
+    below: list[list[int]] = [[] for _ in t._arc]
+    for v, a in enumerate(t._arc[:-1]):
+        if not on_cycle[v]:
+            below[heads[a]].append(v)
+    out = [-1] * len(t._arc)
+    for base, cyc, j in bases:
+        path: list[int] = []
+        todo = [(base, 0)]
+        while todo:
+            v, depth = todo.pop()
+            del path[depth:]
+            path.append(v)
+            if depth >= steps:
+                out[v] = path[depth - steps]
+            elif cyc:
+                out[v] = cyc[(j + steps - depth) % len(cyc)]
+            todo.extend((u, depth + 1) for u in below[v])
+    return out
+
+
 # Tuple references for the verifiers that read a MaxArcAnalysis. They read
 # its word-keyed views, and walk each path afresh.
 

@@ -170,8 +170,9 @@ VIEW_ARGVS = [GOLDEN5, ("--alphabet", "01", "--forbid", "01111", "--span", "4"),
               ("--alphabet", "012", "--forbid", "22", "--span", "4")]
 
 
-def tuple_views_built(monkeypatch, capsys, *argv):
-    """The tuple views of its graph that one successful CLI run built."""
+def tuple_views_built(monkeypatch, capsys, *argv, code=0):
+    """The tuple views of its graph that one CLI run, exiting with `code`,
+    built; a successful run must print."""
     built = []
 
     def build_and_keep(*args):
@@ -179,8 +180,8 @@ def tuple_views_built(monkeypatch, capsys, *argv):
         return built[-1]
 
     monkeypatch.setattr(cli, "build_graph", build_and_keep)
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and out
+    got, out, _ = run(capsys, *argv)
+    assert got == code and (out or code)
     return {"vertices", "arcs", "out"} & set(built[0].__dict__)
 
 
@@ -193,6 +194,13 @@ def test_check_builds_no_tuple_graph(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("command", ["verify", "graph"])
 def test_verify_and_graph_build_no_tuple_graph(monkeypatch, capsys, command, argv):
     assert not tuple_views_built(monkeypatch, capsys, command, *argv)
+
+
+@pytest.mark.parametrize("flags", [(), ("--global",)], ids=["certify", "global"])
+def test_refused_oracle_builds_no_tuple_graph(monkeypatch, capsys, flags):
+    # GOLDEN5 has 18 arcs; the size guard counts them on the id tables.
+    argv = ("oracle", *GOLDEN5, "--max-arcs", "17", *flags)
+    assert not tuple_views_built(monkeypatch, capsys, *argv, code=1)
 
 
 def test_check_json_round_trip(capsys):

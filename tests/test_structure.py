@@ -31,12 +31,14 @@ from debruijn_sft import (
     walk_avoiding,
 )
 from debruijn_sft import structure, walks
+from debruijn_sft.cli import main
 
 import corpus
 from corpus import (
     ALL_INSTANCES,
     avoid_sets,
     graph_of,
+    oracle_ahead,
     oracle_analyze_max_arcs,
     oracle_block_lengths,
     oracle_block_split,
@@ -285,6 +287,58 @@ def analyses_with_random_tables(g, rng):
         structure._analysis(g, t._arc, random_states),
         structure._analysis(g, random_arcs, random_states),
     ]
+
+
+def test_look_ahead_matches_path_reference():
+    # The power of the max-arc map against a walk down from the root and
+    # from each cycle, for every step count up to span+2, on true analyses
+    # and on random max arcs, whose tails run long, whose cycles have any
+    # length, and whose walks may reach the root in exactly `steps`.
+    rng = random.Random(31)
+    seen = dict.fromkeys(["stopped", "root", "wrapped", "tail", "long cycle"], 0)
+    for spec in ALL_INSTANCES + random_instances(40):
+        g = graph_of(spec)
+        top = len(g.ranks) - 1
+        for t in analyses_with_random_tables(g, rng):
+            on_cycle = {v for cyc in t._cycles for v in cyc}
+            seen["long cycle"] += sum(len(cyc) > g.span + 2 for cyc in t._cycles)
+            for steps in range(g.span + 3):
+                got = structure._ahead(t, steps)
+                assert got == oracle_ahead(t, steps), (spec, steps, t._arc)
+                for v, u in enumerate(got):
+                    if u < 0:
+                        seen["stopped"] += 1
+                    elif u == top:
+                        seen["root"] += v != top
+                    elif u in on_cycle:
+                        seen["wrapped"] += v not in on_cycle
+                    else:
+                        seen["tail"] += steps == g.span + 2
+    assert all(count > 10 for count in seen.values()), seen
+
+
+def test_max_arc_tables_are_made_once_and_only_when_read(monkeypatch, capsys):
+    # The successor and label tables are made once per analysis, however
+    # many verifiers and cycles read them, and `check` makes neither.
+    made = []
+    by_max_arc = structure._by_max_arc
+    monkeypatch.setattr(
+        structure, "_by_max_arc", lambda arc, table: made.append(table) or by_max_arc(arc, table)
+    )
+    assert main(["check", "--alphabet", "01", "--forbid", "11", "--span", "11"]) == 0
+    assert "cycle " in capsys.readouterr().out and len(made) == 1   # the analysis's own map
+    decision = decide_minimal_is_eulerian(graph_of(("01", ("11",), 11)))
+    t = decision.analysis
+    assert len(t.cycles) == 3 and len(made) == 2
+    for _ in range(2):
+        verify_label_monotonicity(t)
+        verify_cycle_structure(t)
+        verify_floor_paths(t)
+        verify_greedy_decision(decision)
+        for cyc in t.cycles:
+            check_cycle_label_blocks(t, cyc)
+        analysis_to_json(decision)
+    assert len(made) == 4
 
 
 def test_verifiers_match_tuple_references_with_violations():

@@ -175,6 +175,21 @@ def test_walks_are_immutable_values():
     assert walks[0] != walks[2] and walks[0] != (walks[0].start, walks[0].steps)
 
 
+def test_hand_made_walk_is_eulerian_only_when_it_chains_through_the_graph():
+    g = build_graph(Language.from_text("01", ("11",)), 3)
+    other = build_graph(Language.from_text("01", ("00",)), 3)
+    assert len(g.arcs) == len(other.arcs) == 7
+    # Every arc of g once, and closed, but the arcs do not chain.
+    assert not Walk(g.arcs[-1].head, g.arcs).is_eulerian(g)
+    # A circuit of another graph with as many arcs, hand-made or not.
+    circuit = eulerian_cycle(other, other.max_vertex)
+    assert Walk(circuit.start, circuit.steps).is_eulerian(other)
+    assert not Walk(circuit.start, circuit.steps).is_eulerian(g)
+    assert not circuit.is_eulerian(g)
+    own = eulerian_cycle(g, g.max_vertex)
+    assert Walk(own.start, own.steps).is_eulerian(g)
+
+
 def forbid_tuple_views(monkeypatch):
     """Make any read of a graph's tuple views, or of a walk's Arcs, fail."""
     def built(self):
