@@ -49,8 +49,8 @@ class DeBruijnGraph:
     `vertices`, `arcs` and `out` hold the same graph as word tuples and
     `Arc`s. Each is made from the tables when first read and kept; every
     arc shares the one tuple of each of its ends. `max_vertex` alone is
-    decoded at once. `minimal_walk`, `eulerian_cycle` and the circuit
-    count read only the tables.
+    decoded at once. Only the exports read the views; every algorithm
+    finds arcs on the tables, through `_arc_id` or `_id_of_arc`.
     """
 
     span: int
@@ -99,8 +99,18 @@ class DeBruijnGraph:
     def out_arcs(self, v: Word) -> tuple[Arc, ...]:
         return self.out.get(v, ())
 
+    def _arc_id(self, v: int, label: int) -> int:
+        """The id of the out-arc of vertex id v labeled `label`, or -1."""
+        return next((i for i in range(self.first[v], self.first[v + 1]) if self.labels[i] == label), -1)
+
+    def _id_of_arc(self, arc: Arc) -> int:
+        """The id of `arc`, its head checked too, or -1 when it is no arc of the graph."""
+        v = self.id_of(arc.tail)
+        i = -1 if v is None else self._arc_id(v, arc.label)
+        return i if i >= 0 and self.heads[i] == self.id_of(arc.head) else -1
+
     def __contains__(self, arc: Arc) -> bool:
-        return arc in self.out.get(arc.tail, ())
+        return self._id_of_arc(arc) >= 0
 
 
 def graph_from_arcs(
@@ -278,26 +288,27 @@ def word_to_arc(g: DeBruijnGraph, w: Word) -> Arc:
     if g.language is not None and not is_circular_word(g.language, w):
         raise ValueError(f"word {w} is not in the language")
     tail = w[: g.span]
-    if tail not in g.out:
+    v = g.id_of(tail)
+    if v is None:
         raise ValueError(f"prefix vertex {tail} is not in the component")
-    for a in g.out[tail]:
-        if a.label == w[g.span]:
-            return a
-    raise ValueError(f"no arc realizes word {w} inside the component")
+    i = g._arc_id(v, w[g.span])
+    if i < 0:
+        raise ValueError(f"no arc realizes word {w} inside the component")
+    return Arc(g.word_of(v), g.labels[i], g.word_of(g.heads[i]))
 
 
 def walk_label_target(g: DeBruijnGraph, start: Word, w: Word) -> Word:
     """Endpoint of the walk with label w from start (the length-n suffix of
     start followed by w)."""
-    if start not in g.out:
+    cur = g.id_of(start)
+    if cur is None:
         raise ValueError(f"vertex {start} is not in the graph")
-    cur = start
     for s in w:
-        nxt = next((a for a in g.out_arcs(cur) if a.label == s), None)
-        if nxt is None:
-            raise ValueError(f"no walk labeled {w} from {start}: stuck at {cur}")
-        cur = nxt.head
-    return cur
+        i = g._arc_id(cur, s)
+        if i < 0:
+            raise ValueError(f"no walk labeled {w} from {start}: stuck at {g.word_of(cur)}")
+        cur = g.heads[i]
+    return g.word_of(cur)
 
 
 def _dot_quoted(text: str) -> str:
@@ -354,6 +365,6 @@ def graph_from_json(data: dict) -> DeBruijnGraph:
     if type(span) is not int:   # not a float, a string or a bool
         raise ValueError(f"graph JSON span {span!r} is not an integer")
     g = graph_from_arcs(span, alphabet, arcs)
-    if named is not None and named != list(g.vertices):
+    if named is not None and [g.id_of(v) for v in named] != list(range(len(g.ranks))):
         raise ValueError("graph JSON vertices are not exactly the arcs' endpoints")
     return g

@@ -3,7 +3,8 @@
 Exhaustive backtracking over Eulerian circuits, true minimal circuit
 labels, the global minimum over all start vertices, and a certification
 verdict tying the greedy walk, the decision procedure, and the oracle
-together. Everything here is factorial-time and guarded by an arc bound.
+together. Everything here is factorial-time and guarded by an arc bound,
+checked first. The backtracker runs on the graph's vertex and arc ids.
 """
 
 from __future__ import annotations
@@ -44,36 +45,39 @@ def enumerate_eulerian_cycles(
     truncation.
     """
     _guard(g, max_arcs)
-    if start not in g.out:
+    at = g.id_of(start)
+    if at is None:
         raise ValueError(f"vertex {start} is not in the graph")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    total = len(g.arcs)
-    used: set = set()
-    path: list = []
+    first, heads = g.first, g.heads
+    start = g.word_of(at)
+    used = bytearray(len(heads))
+    path: list[int] = []
     found: list[Walk] = []
-    # One iterator over the out-arcs of the current vertex per depth, so
-    # circuits of any length need no recursion.
-    frames = [iter(g.out_arcs(start))]
+    # One iterator over the out-arc ids of the current vertex per depth,
+    # so circuits of any length need no recursion.
+    frames = [iter(range(first[at], first[at + 1]))]
     while frames:
-        for arc in frames[-1]:
-            if arc not in used:
+        for i in frames[-1]:
+            if not used[i]:
                 break
         else:
             frames.pop()
             if path:
-                used.discard(path.pop())
+                used[path.pop()] = 0
             continue
-        used.add(arc)
-        path.append(arc)
-        if len(path) < total:
-            frames.append(iter(g.out_arcs(arc.head)))
+        used[i] = 1
+        path.append(i)
+        h = heads[i]
+        if len(path) < len(heads):
+            frames.append(iter(range(first[h], first[h + 1])))
             continue
-        if arc.head == start:
-            found.append(Walk(start, tuple(path)))
+        if h == at:
+            found.append(Walk._of_ids(g, start, path.copy()))
             if cap is not None and len(found) >= cap:
                 return EnumerationResult(tuple(found), truncated=True)
-        used.discard(path.pop())
+        used[path.pop()] = 0
     return EnumerationResult(tuple(found), truncated=False)
 
 
@@ -102,14 +106,11 @@ def global_minimal_label(g: DeBruijnGraph, max_arcs: int = DEFAULT_MAX_ARCS) -> 
     The winner can differ from the maximal vertex, in which case the
     greedy-from-maximal answer is not the global optimum."""
     _guard(g, max_arcs)
-    best: GlobalMinimum | None = None
-    for start in g.vertices:
-        label = minimal_eulerian_label(g, start, max_arcs=max_arcs)
-        if best is None or label < best.label:
-            best = GlobalMinimum(start=start, label=label)
-    if best is None:
-        raise NotEulerianError("graph has no vertices")
-    return best
+    # Over vertex ids, so the first id, in word order, wins a tie.
+    label, v = min(
+        (minimal_eulerian_label(g, g.word_of(v), max_arcs=max_arcs), v) for v in range(len(g.ranks))
+    )
+    return GlobalMinimum(start=g.word_of(v), label=label)
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,7 @@ def certify_minimal_walk(g: DeBruijnGraph, max_arcs: int = DEFAULT_MAX_ARCS) -> 
     Passes when the decision procedure agrees with the walk actually
     covering the graph, and, whenever it does cover, its label equals the
     oracle's minimal circuit label from the maximal vertex."""
+    _guard(g, max_arcs)
     greedy = minimal_walk(g)
     greedy_eulerian = greedy.is_eulerian(g)
     decision = decide_minimal_is_eulerian(g)

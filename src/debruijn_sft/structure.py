@@ -23,7 +23,7 @@ The analysis, the obstruction search and the verifiers that read an
 analysis run on the graph's vertex and arc ids and on integer word ranks.
 Word tuples and `Arc`s are made only for what is returned or printed as
 words: the cycles, the obstructions, violation texts, and the word-keyed
-fields of `MaxArcAnalysis`, which are views made on first read. The
+fields of `MaxArcAnalysis`, views made on first read (not for JSON). The
 exhaustion-order check reads an `AvoidSet` as reserved arc ids too: the
 one an analysis makes holds them, and a word-keyed one is turned into
 them. The max-arc subgraph is one map on ids: two tables, made once on
@@ -702,27 +702,28 @@ def analysis_to_json(decision: Decision) -> dict:
     decision with both criteria."""
     t = decision.analysis
     g = t.graph
-    alpha = g.alphabet
+    alpha, root, label = g.alphabet, t.root, t._label
+    names = [alpha.text(v) for v in decode_ranks(g.ranks, alpha.size, g.span)]
+    overlaps = [alpha.text(root[:s]) for s in range(len(root))]
     return {
-        "root": alpha.text(t.root),
-        "vertices": [
+        "root": alpha.text(root),
+        "vertices": [   # the root, the last id, is left out
             {
-                "label": alpha.text(v),
-                "overlap": alpha.text(t.overlap[v]),
-                "overlapNext": alpha.symbols[t.overlap_next[v]],
-                "maxLabel": alpha.symbols[t.max_label[v]],
-                "floor": v in t.floor,
-                "restricted": v in t.restricted,
+                "label": name,
+                "overlap": overlaps[s],
+                "overlapNext": alpha.symbols[root[s]],
+                "maxLabel": alpha.symbols[x],
+                "floor": not s,
+                "restricted": x < root[s],
             }
-            for v in g.vertices
-            if v != t.root
+            for name, s, x in zip(names[:-1], t._state, label)
         ],
         "cycles": [
             {
-                "vertices": [alpha.text(v) for v in cyc],
-                "label": alpha.text(tuple(t.max_label[v] for v in cyc)),
+                "vertices": [names[v] for v in cyc],
+                "label": alpha.text([label[v] for v in cyc]),
             }
-            for cyc in t.cycles
+            for cyc in t._cycles
         ],
         "obstructions": [
             {

@@ -3,8 +3,9 @@ the greedy minimal walk, and exhaustion bookkeeping.
 
 The walkers and the exhaustion bookkeeping run on the graph's vertex and
 arc ids. An avoid set made from a graph's ids is read as it is; a
-word-keyed one is checked and turned into the same ids first. Words and
-`Arc`s are made only for what is returned as words.
+word-keyed one, like a hand-made walk, is checked and turned into the
+same ids first by the graph's arc lookup. Words and `Arc`s are made only
+for what is returned as words; a walk starts at the graph's own word.
 """
 
 from __future__ import annotations
@@ -168,14 +169,11 @@ def _reserved_ids(g: DeBruijnGraph, avoid: AvoidSet) -> tuple[int, list[int]]:
     # Distinct keys that are vertices have distinct ids.
     if len(ids) != len(g.ranks) - 1 or None in ids or root in ids:
         raise ValueError("avoid set must reserve exactly one arc per non-root vertex")
-    first, labels = g.first, g.labels
+    first = g.first
     arc = [-1] * len(g.ranks)
     for i, (v, a) in zip(ids, reserved.items()):
-        try:
-            j = labels.index(a.label, first[i], first[i + 1]) if a.tail == v else -1
-        except ValueError:
-            j = -1
-        if j < 0 or a.head != g.word_of(g.heads[j]):
+        j = g._id_of_arc(a)
+        if not first[i] <= j < first[i + 1]:
             raise ValueError(f"reserved arc for {v} is not an out-arc of {v} in the graph")
         arc[i] = j
     return root, arc
@@ -260,7 +258,7 @@ def eulerian_cycle(g: DeBruijnGraph, start: Word) -> Walk:
         raise NotEulerianError(
             f"only {len(tour)} of {len(heads)} arcs reachable from {start}"
         )
-    return Walk._of_ids(g, start, tour)
+    return Walk._of_ids(g, g.word_of(at), tour)
 
 
 def walk_avoiding(g: DeBruijnGraph, avoid: AvoidSet) -> Walk:
@@ -272,7 +270,7 @@ def walk_avoiding(g: DeBruijnGraph, avoid: AvoidSet) -> Walk:
     before covering the graph; that outcome is returned, not raised.
     """
     root, arc = _reserved_ids(g, avoid)
-    return Walk._of_ids(g, avoid.root, _avoiding_ids(g, root, arc))
+    return Walk._of_ids(g, g.word_of(root), _avoiding_ids(g, root, arc))
 
 
 def _avoiding_ids(g: DeBruijnGraph, root: int, arc: list[int]) -> list[int]:
@@ -307,14 +305,15 @@ def _arc_ids(walk: Walk, g: DeBruijnGraph) -> list[int]:
     through arcs of g."""
     if walk._graph is g:
         return walk._ids
+    first, heads = g.first, g.heads
     ids = []
-    cur = walk.start
+    cur = g.id_of(walk.start)
     for a in walk.steps:
-        if a not in g or a.tail != cur:
+        i = g._id_of_arc(a)
+        if cur is None or not first[cur] <= i < first[cur + 1]:
             raise ValueError("walk does not chain through arcs of this graph")
-        v = g.id_of(a.tail)
-        ids.append(g.labels.index(a.label, g.first[v], g.first[v + 1]))
-        cur = a.head
+        ids.append(i)
+        cur = heads[i]
     return ids
 
 

@@ -979,6 +979,39 @@ def oracle_candidate_parse_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, 
     )
 
 
+def oracle_enumerate_eulerian_cycles(
+    g: DeBruijnGraph, start: Word, cap: int | None = None,
+) -> tuple[list[Walk], bool]:
+    """Reference for oracle.enumerate_eulerian_cycles: backtracking over the
+    tuple graph's `Arc`s, with a used set, in ascending label order. Returns
+    the circuits and whether `cap` of them ended the search."""
+    total = len(g.arcs)
+    used: set = set()
+    path: list = []
+    found: list[Walk] = []
+    frames = [iter(g.out_arcs(start))]
+    while frames:
+        for arc in frames[-1]:
+            if arc not in used:
+                break
+        else:
+            frames.pop()
+            if path:
+                used.discard(path.pop())
+            continue
+        used.add(arc)
+        path.append(arc)
+        if len(path) < total:
+            frames.append(iter(g.out_arcs(arc.head)))
+            continue
+        if arc.head == start:
+            found.append(Walk(start, tuple(path)))
+            if cap is not None and len(found) >= cap:
+                return found, True
+        used.discard(path.pop())
+    return found, False
+
+
 def oracle_block_lengths(w: Word, may_end: list[bool], m: Word) -> list[int]:
     """For each letter q of the circular word w, the length of the one
     block that can start there, or 0 when none can.

@@ -2,6 +2,7 @@ import pytest
 
 from debruijn_sft import (
     Arc,
+    DeBruijnGraph,
     Language,
     NotEulerianError,
     TooLargeError,
@@ -16,9 +17,12 @@ from debruijn_sft import (
     minimal_walk,
     verdict_to_json,
 )
+from debruijn_sft import oracle
 from debruijn_sft.language import Alphabet
 
-from corpus import ALL_INSTANCES, graph_of
+from corpus import (
+    ALL_INSTANCES, graph_of, oracle_enumerate_eulerian_cycles, random_balanced_graphs,
+)
 
 BINARY = Alphabet.from_text("01")
 
@@ -34,6 +38,38 @@ def test_enumeration_complete_and_sorted():
         assert w.is_eulerian(g)
     best = count_eulerian_cycles(g, g.max_vertex)
     assert len(result.walks) == best * len(g.out_arcs(g.max_vertex))
+
+
+def reference_graphs() -> list[DeBruijnGraph]:
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES]
+    return [g for g in graphs if len(g.heads) <= 24] + random_balanced_graphs(100, seed=11)
+
+
+def test_enumeration_matches_tuple_reference():
+    # Every circuit from the maximal vertex, and the first few from every
+    # vertex; the random graphs have self-loops, arbitrary heads, and some
+    # are not connected.
+    for g in reference_graphs():
+        runs = [(g.max_vertex, None)] + [(v, cap) for v in g.vertices for cap in (1, 2, 3)]
+        for start, cap in runs:
+            want, truncated = oracle_enumerate_eulerian_cycles(g, start, cap)
+            got = enumerate_eulerian_cycles(g, start, cap=cap, max_arcs=len(g.heads))
+            assert got.truncated == truncated, (g.arcs, start, cap)
+            assert [(w.start, w.steps, w.label) for w in got.walks] == [
+                (w.start, w.steps, w.label) for w in want
+            ], (g.arcs, start, cap)
+
+
+def test_global_minimum_matches_tuple_reference():
+    for g in reference_graphs():
+        firsts = [oracle_enumerate_eulerian_cycles(g, v, 1)[0] for v in g.vertices]
+        if not all(firsts):
+            with pytest.raises(NotEulerianError):
+                global_minimal_label(g)
+            continue
+        label, start = min((walks[0].label, walks[0].start) for walks in firsts)
+        best = global_minimal_label(g)
+        assert (best.label, best.start) == (label, start), g.arcs
 
 
 def test_enumeration_two_cycle():
@@ -64,6 +100,16 @@ def test_size_guard():
         minimal_eulerian_label(g, g.max_vertex)
     with pytest.raises(TooLargeError):
         global_minimal_label(g)
+
+
+def test_refused_certification_neither_walks_nor_decides(monkeypatch):
+    def unreachable(g):
+        raise AssertionError("ran before the arc bound was checked")
+
+    monkeypatch.setattr(oracle, "minimal_walk", unreachable)
+    monkeypatch.setattr(oracle, "decide_minimal_is_eulerian", unreachable)
+    with pytest.raises(TooLargeError):
+        certify_minimal_walk(graph_of(("01", ("11",), 5)), max_arcs=17)   # 18 arcs
 
 
 def test_minimal_label_full_binary_span3():

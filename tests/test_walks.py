@@ -16,6 +16,7 @@ from debruijn_sft import (
     NotEulerianError,
     Walk,
     analyze_max_arcs,
+    arc_to_word,
     build_graph,
     check_avoid_set,
     count_eulerian_cycles,
@@ -24,10 +25,14 @@ from debruijn_sft import (
     eulerian_cycle,
     exhaustion_order,
     graph_from_arcs,
+    graph_from_json,
+    graph_to_json,
     minimal_walk,
     verify_exhaustion_order,
     walk_avoiding,
+    walk_label_target,
     walk_to_json,
+    word_to_arc,
 )
 from debruijn_sft.cli import main
 from debruijn_sft.language import Alphabet
@@ -212,6 +217,35 @@ def test_walks_and_counts_read_only_the_id_tables(monkeypatch, spec):
     cycle = eulerian_cycle(g, g.max_vertex)
     assert cycle.is_eulerian(g) and cycle.end == g.max_vertex
     assert count_eulerian_cycles(g, g.max_vertex) > 0
+
+
+def test_word_lookups_build_no_tuple_graph():
+    g, twin = graph_of(("01", ("11",), 5)), graph_of(("01", ("11",), 5))
+    a = g.alphabet
+    word = a.word("001010")
+    arc = word_to_arc(g, word)
+    assert arc == Arc(a.word("00101"), 0, a.word("01010"))
+    assert arc_to_word(g, arc) == word and arc in g
+    assert walk_label_target(g, a.word("00000"), a.word("10010")) == a.word("10010")
+    steps = eulerian_cycle(twin, twin.max_vertex).steps
+    assert Walk(twin.max_vertex, steps).is_eulerian(g)
+    avoid = AvoidSet(twin.max_vertex, dict(analyze_max_arcs(twin).max_arc))
+    assert walk_avoiding(g, avoid).label == minimal_walk(g).label
+    loaded = graph_from_json(graph_to_json(twin))
+    assert not {"vertices", "arcs", "out"} & (set(g.__dict__) | set(loaded.__dict__))
+
+
+def test_walks_start_at_the_graphs_own_word():
+    # A start given as a list is read as the vertex it names; the walk
+    # keeps the graph's word, so it is closed.
+    g = graph_of(("01", ("11",), 4))
+    start = list(g.max_vertex)
+    cycle = eulerian_cycle(g, start)
+    assert cycle.start == g.max_vertex and cycle.is_closed and cycle.is_eulerian(g)
+    avoid = AvoidSet(start, dict(analyze_max_arcs(g).max_arc))
+    walk = walk_avoiding(g, avoid)
+    assert walk.start == g.max_vertex and walk.is_closed and walk.is_eulerian(g)
+    assert walk == minimal_walk(g)
 
 
 @pytest.mark.parametrize("argv", [
