@@ -22,8 +22,8 @@ Per-vertex data, with m the maximal vertex:
 The analysis, the obstruction search and the verifiers that read an
 analysis run on the graph's vertex and arc ids and on integer word ranks.
 Word tuples and `Arc`s are made only for what is returned or printed as
-words: the cycles, the obstructions, violation texts, and the word-keyed
-fields of `MaxArcAnalysis`, views made on first read (not for JSON). The
+words: the cycles, the obstructions, violation texts, one vertex's
+`classify_vertex` record and the max-arc avoid set's `arc_by_vertex`. The
 exhaustion-order check reads an `AvoidSet` as reserved arc ids too: the
 one an analysis makes holds them, and a word-keyed one is turned into
 them. The max-arc subgraph is one map on ids: two tables, made once on
@@ -54,54 +54,45 @@ from .walks import AvoidSet, _avoiding_ids, _exhaustion_times, _reserved_ids, mi
 class MaxArcAnalysis:
     """The max-arc subgraph of a graph and each vertex's overlap data.
 
-    The analysis lives on the graph's vertex ids. `_arc[v]` is the id of
-    v's maximum out-arc and `_state[v]` the length of v's overlap, read
-    from v's own letters; both are -1 at the root, the last id. `_cycles`
-    holds the cycles on ids, in the order of `cycles`. `_succ` and
+    The analysis is two tables on the graph's vertex ids: `_arc[v]` is the
+    id of v's maximum out-arc and `_state[v]` the length of v's overlap,
+    read from v's own letters; both are -1 at the root, the last id. The
+    rest is read from them when first asked for, and kept: `_succ` and
     `_label`, the head and the label of each vertex's max arc (-1 at the
-    root), are made from `_arc` when first read and kept. `max_arc`,
-    `overlap`, `overlap_next`, `max_label`, `floor` and `restricted` hold
-    the same data keyed by vertex words; each is made from the id tables
-    when first read and kept, as the graph's own tuple views are.
+    root), `_cycles`, the cycles of those arcs on ids, `cycles`, the same
+    cycles as words, and the avoid set of the max arcs. `classify_vertex`
+    reads one vertex's data by its word.
     """
 
     graph: DeBruijnGraph
-    root: Word
-    cycles: tuple[tuple[Word, ...], ...]   # each starts at its minimal vertex
-    is_tree: bool
     _arc: list[int] = field(repr=False)
     _state: list[int] = field(repr=False)
-    _cycles: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @property
+    def root(self) -> Word:
+        return self.graph.max_vertex
+
+    @property
+    def is_tree(self) -> bool:
+        return not self._cycles
 
     @cached_property
-    def max_arc(self) -> dict[Word, Arc]:        # v != root -> maximum-label out-arc
-        arcs = self.graph.arcs
-        return dict(zip(self.graph.vertices[:-1], map(arcs.__getitem__, self._arc[:-1])))
+    def cycles(self) -> tuple[tuple[Word, ...], ...]:   # each starts at its minimal vertex
+        g = self.graph
+        words = iter(decode_ranks([g.ranks[v] for cyc in self._cycles for v in cyc], g.alphabet.size, g.span))
+        return tuple(tuple(next(words) for _ in cyc) for cyc in self._cycles)
 
     @cached_property
-    def overlap(self) -> dict[Word, Word]:
-        prefixes = [self.root[:s] for s in range(len(self.root))]
-        return dict(zip(self.graph.vertices[:-1], map(prefixes.__getitem__, self._state[:-1])))
-
-    @cached_property
-    def overlap_next(self) -> dict[Word, int]:
-        return dict(zip(self.graph.vertices[:-1], map(self.root.__getitem__, self._state[:-1])))
-
-    @cached_property
-    def max_label(self) -> dict[Word, int]:
-        return dict(zip(self.graph.vertices[:-1], self._label))
-
-    @cached_property
-    def floor(self) -> frozenset[Word]:
-        return frozenset(v for v, s in zip(self.graph.vertices, self._state[:-1]) if not s)
-
-    @cached_property
-    def restricted(self) -> frozenset[Word]:
-        root = self.root
-        return frozenset(
-            v for v, x, s in zip(self.graph.vertices[:-1], self._label, self._state)
-            if x < root[s]
-        )
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+        # The root has no exit, so paths either reach it or wind into a
+        # cycle. Ids follow word order, so the least id starts each cycle
+        # and id tuples sort as the word tuples do. The successor map made
+        # here is not kept: `check` reads no other table.
+        cycles = []
+        for cyc in _functional_cycles(_by_max_arc(self._arc, self.graph.heads)):
+            i = cyc.index(min(cyc))
+            cycles.append(tuple(cyc[i:] + cyc[:i]))
+        return tuple(sorted(cycles))
 
     @cached_property
     def _succ(self) -> list[int]:
@@ -111,8 +102,13 @@ class MaxArcAnalysis:
     def _label(self) -> list[int]:
         return _by_max_arc(self._arc, self.graph.labels)
 
-    def avoid_set(self) -> AvoidSet:
+    @cached_property
+    def _avoid(self) -> AvoidSet:
         return AvoidSet._of_ids(self.graph, self.root, self._arc)
+
+    def avoid_set(self) -> AvoidSet:
+        """The max arcs as an avoid set; the same one on every call."""
+        return self._avoid
 
 
 def _by_max_arc(arc: list[int], table: list[int]) -> list[int]:
@@ -233,39 +229,15 @@ def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
     state = _overlap_states(g, _automaton(Language(g.alphabet, frozenset({root}))))
     arc = [f - 1 for f in g.first[1:]]
     arc[top] = -1
-    return _analysis(g, arc, state)
-
-
-def _analysis(g: DeBruijnGraph, arc: list[int], state: list[int]) -> MaxArcAnalysis:
-    """The analysis with the given max-arc and overlap-state tables, and
-    the cycles of those arcs."""
-    succ = _by_max_arc(arc, g.heads)
-    # The root has no exit, so paths either reach it or wind into a cycle.
-    # Ids follow word order, so the least id starts each cycle and id
-    # tuples sort as the word tuples do.
-    cycles = []
-    for cyc in _functional_cycles(succ):
-        i = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[i:] + cyc[:i]))
-    cycles.sort()
-    words = iter(decode_ranks([g.ranks[v] for cyc in cycles for v in cyc], g.alphabet.size, g.span))
-    return MaxArcAnalysis(
-        graph=g,
-        root=g.max_vertex,
-        cycles=tuple(tuple(next(words) for _ in cyc) for cyc in cycles),
-        is_tree=not cycles,
-        _arc=arc,
-        _state=state,
-        _cycles=tuple(cycles),
-    )
+    return MaxArcAnalysis(g, arc, state)
 
 
 def classify_vertex(t: MaxArcAnalysis, v: Word) -> VertexClass:
-    if v == t.root:
-        raise ValueError("the root has no classification")
     i = t.graph.id_of(v)
     if i is None:
         raise ValueError(f"vertex {v} is not in the graph")
+    if i == len(t._arc) - 1:
+        raise ValueError("the root has no classification")
     s, label = t._state[i], t.graph.labels[t._arc[i]]
     return VertexClass(
         overlap=t.root[:s],

@@ -28,6 +28,7 @@ from debruijn_sft import (
     analyze_max_arcs,
     build_graph,
     check_irreducible,
+    classify_vertex,
     exhaustion_order,
     graph_from_arcs,
     minimal_walk,
@@ -562,10 +563,11 @@ def oracle_analyze_max_arcs(g: DeBruijnGraph) -> dict:
 def oracle_max_arc_labels(t, start: Word, k: int) -> Word:
     """Labels of the first k max arcs on the walk from start; fewer when
     the walk reaches the root first."""
+    max_arc = t.avoid_set().arc_by_vertex
     labels = []
     cur = start
     for _ in range(k):
-        arc = t.max_arc.get(cur)
+        arc = max_arc.get(cur)
         if arc is None:
             break
         labels.append(arc.label)
@@ -610,7 +612,8 @@ def oracle_ahead(t, steps: int) -> list[int]:
 
 
 # Tuple references for the verifiers that read a MaxArcAnalysis. They read
-# its word-keyed views, and walk each path afresh.
+# its max arcs by word through its avoid set, each vertex's data through
+# `classify_vertex`, and walk each path afresh.
 
 def oracle_label_monotonicity(t) -> VerificationReport:
     g = t.graph
@@ -641,15 +644,16 @@ def oracle_cycle_structure(t) -> VerificationReport:
             continue
         reps = (n + 1) // len(cyc)
         for u in cyc:
-            succ = t.max_arc[u].head
+            succ = t.avoid_set().arc_by_vertex[u].head
             expected = oracle_max_arc_labels(t, succ, len(cyc)) * reps
-            if u + (t.max_label[u],) != expected:
+            label = classify_vertex(t, u).max_label
+            if u + (label,) != expected:
                 violations.append(
-                    f"cycle {cyc}: vertex {u} with label {t.max_label[u]} "
+                    f"cycle {cyc}: vertex {u} with label {label} "
                     f"is not the repeated loop label {expected}"
                 )
-        n_restricted = sum(1 for u in cyc if u in t.restricted)
-        n_floor = sum(1 for u in cyc if u in t.floor)
+        n_restricted = sum(1 for u in cyc if classify_vertex(t, u).is_restricted)
+        n_floor = sum(1 for u in cyc if classify_vertex(t, u).is_floor)
         if n_restricted != n_floor:
             violations.append(
                 f"cycle {cyc}: {n_restricted} restricted but {n_floor} floor vertices"
@@ -666,36 +670,39 @@ def oracle_overlap_bounds(t) -> VerificationReport:
         if a.tail == root:
             continue
         checks += 1
-        cap = t.overlap_next[a.tail]
+        tail = classify_vertex(t, a.tail)
+        cap = tail.overlap_next
         if a.label > cap:
             violations.append(f"arc {a}: label exceeds bound {cap}")
             continue
         if a.head == root:
             continue
-        if a.label < cap and t.overlap[a.head] != ():
+        head = classify_vertex(t, a.head)
+        if a.label < cap and head.overlap != ():
             violations.append(f"arc {a}: low label but head overlap is nonempty")
-        if a.label == cap and t.overlap[a.head] != t.overlap[a.tail] + (a.label,):
+        if a.label == cap and head.overlap != tail.overlap + (a.label,):
             violations.append(f"arc {a}: head overlap does not extend tail overlap")
     return VerificationReport("overlap-bounds", checks, tuple(violations))
 
 
 def oracle_floor_paths(t) -> VerificationReport:
+    max_arc = t.avoid_set().arc_by_vertex
     checks = 0
     violations = []
-    for f in sorted(t.floor):
+    for f in sorted(v for v in max_arc if classify_vertex(t, v).is_floor):
         labels: list[int] = []
         visited = {f}
         cur = f
         while True:
-            if cur != t.root and tuple(labels) != t.overlap[cur]:
+            if cur != t.root and tuple(labels) != classify_vertex(t, cur).overlap:
                 violations.append(
                     f"path from {f} to {cur}: label {tuple(labels)} != overlap "
-                    f"{t.overlap[cur]}"
+                    f"{classify_vertex(t, cur).overlap}"
                 )
             checks += 1
-            if cur == t.root or cur in t.restricted:
+            if cur == t.root or classify_vertex(t, cur).is_restricted:
                 break
-            arc = t.max_arc[cur]
+            arc = max_arc[cur]
             labels.append(arc.label)
             cur = arc.head
             if cur in visited:
@@ -706,7 +713,7 @@ def oracle_floor_paths(t) -> VerificationReport:
 
 def oracle_cycle_label_blocks(t, cycle: tuple[Word, ...]) -> VerificationReport:
     n = t.graph.span
-    rest = [u for u in cycle if u in t.restricted]
+    rest = [u for u in cycle if classify_vertex(t, u).is_restricted]
     if not rest:
         return VerificationReport(
             "cycle-label-blocks", 1, (f"cycle {cycle} has no restricted vertex",)
@@ -719,15 +726,15 @@ def oracle_cycle_label_blocks(t, cycle: tuple[Word, ...]) -> VerificationReport:
         checks += 1
         loop: list[int] = []
         for j in range(1, k + 1):
-            w = rest[(i + j) % k]
-            loop.extend(t.overlap[w] + (t.max_label[w],))
+            w = classify_vertex(t, rest[(i + j) % k])
+            loop.extend(w.overlap + (w.max_label,))
         if len(loop) != len(cycle):
             violations.append(
                 f"cycle {cycle}: blocks after {u} spell {len(loop)} letters, "
                 f"cycle has {len(cycle)}"
             )
             continue
-        if tuple(loop) * reps != u + (t.max_label[u],):
+        if tuple(loop) * reps != u + (classify_vertex(t, u).max_label,):
             violations.append(f"cycle {cycle}: block spelling mismatch at {u}")
     return VerificationReport("cycle-label-blocks", checks, tuple(violations))
 
@@ -747,14 +754,14 @@ def oracle_greedy_decision(decision) -> VerificationReport:
         divides = (g.span + 1) % len(cyc) == 0
         for u in cyc:
             checks += 1
-            if not divides or u + (t.max_label[u],) not in obstruction_words:
+            if not divides or u + (classify_vertex(t, u).max_label,) not in obstruction_words:
                 violations.append(f"cycle word for {u} missing from obstructions")
     for o in decision.obstructions:
         w = o.word
         for r in range(len(w)):
             rot = w[r:] + w[:r]
             checks += 1
-            if t.max_arc.get(rot[:-1]) != (rot[:-1], rot[-1], rot[1:]):
+            if t.avoid_set().arc_by_vertex.get(rot[:-1]) != (rot[:-1], rot[-1], rot[1:]):
                 violations.append(
                     f"obstruction {w}: rotation {rot} is not a max-arc of the graph"
                 )

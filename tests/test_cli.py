@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from debruijn_sft import build_graph, cli, counting, structure
+from debruijn_sft import build_graph, cli, counting, export_dot, structure
 from debruijn_sft.cli import main
 
-from corpus import cyclic_windows
+from corpus import cyclic_windows, graph_of
 
 
 GOLDEN5 = ("--alphabet", "01", "--forbid", "11", "--span", "5")
@@ -55,6 +55,13 @@ def test_graph_highlight_t(capsys, tmp_path):
     assert code == 0
     # One reserved arc per non-root vertex: 14 styled arcs.
     assert dot.read_text().count("style=bold") == 14
+    # The bold arcs are each non-root vertex's maximum-label out-arc.
+    for alphabet, forbid, n in [("01", ("11",), 5), ("01", ("01111",), 4),
+                                ("012", ("22",), 4), ("01", (), 6)]:
+        argv = ["graph", "--alphabet", alphabet, "--span", str(n), "--dot", str(dot), "--highlight-t"]
+        assert main(argv + [a for w in forbid for a in ("--forbid", w)]) == 0
+        g = graph_of((alphabet, forbid, n))
+        assert dot.read_text() == export_dot(g, {g.out[v][-1] for v in g.vertices[:-1]}), alphabet
 
 
 def test_seq_covers_words(capsys):

@@ -11,6 +11,7 @@ from debruijn_sft import (
     Decision,
     EmptyGraphError,
     Language,
+    MaxArcAnalysis,
     Obstruction,
     analysis_to_json,
     analyze_max_arcs,
@@ -74,7 +75,7 @@ def test_unrestricted_analysis_is_tree():
         assert t.is_tree
         assert t.cycles == ()
         assert g.alphabet.text(t.root) == alphabet[-1] * n
-        assert len(t.max_arc) == len(g.vertices) - 1
+        assert len(t.avoid_set().arc_by_vertex) == len(g.vertices) - 1
 
 
 def test_golden5_vertex_classification():
@@ -90,8 +91,10 @@ def test_golden5_vertex_classification():
     assert zero.overlap == ()
     assert zero.is_floor
     assert a.symbols[zero.overlap_next] == "1"
-    with pytest.raises(ValueError):
-        classify_vertex(t, t.root)
+    # The root is refused by its id, so also when given as a list.
+    for root in (t.root, list(t.root)):
+        with pytest.raises(ValueError, match="the root has no classification"):
+            classify_vertex(t, root)
 
 
 def test_full_binary_overlap_example():
@@ -125,18 +128,17 @@ def test_blocked4_cycles_divide_span_plus_one():
 def test_restricted_vertices_feed_floor_vertices():
     for spec in ALL_INSTANCES:
         t = analyze_max_arcs(graph_of(spec))
-        for v in t.restricted:
-            head = t.max_arc[v].head
-            if head != t.root:
-                assert head in t.floor, spec
+        for v, arc in t.avoid_set().arc_by_vertex.items():
+            if classify_vertex(t, v).is_restricted and arc.head != t.root:
+                assert classify_vertex(t, arc.head).is_floor, spec
 
 
 def test_tree_arc_count_invariant():
     for spec in ALL_INSTANCES:
         g = graph_of(spec)
-        t = analyze_max_arcs(g)
-        assert len(t.max_arc) == len(g.vertices) - 1
-        for v, arc in t.max_arc.items():
+        max_arc = analyze_max_arcs(g).avoid_set().arc_by_vertex
+        assert len(max_arc) == len(g.vertices) - 1
+        for v, arc in max_arc.items():
             assert arc.tail == v
             assert arc == g.out_arcs(v)[-1]
 
@@ -215,10 +217,15 @@ def test_overlaps_match_reference():
         t = analyze_max_arcs(g)
         m = g.max_vertex
         want = {v: oracle_longest_overlap(v, m) for v in g.vertices if v != m}
-        assert t.overlap == want, g.arcs
-        assert t.overlap_next == {v: m[len(ov)] for v, ov in want.items()}, g.arcs
-        assert t.floor == {v for v, ov in want.items() if not ov}, g.arcs
-        assert t.restricted == {
+        got = {v: classify_vertex(t, v) for v in g.vertices if v != m}
+        assert {v: c.overlap for v, c in got.items()} == want, g.arcs
+        assert {v: c.overlap_next for v, c in got.items()} == {
+            v: m[len(ov)] for v, ov in want.items()
+        }, g.arcs
+        assert {v for v, c in got.items() if c.is_floor} == {
+            v for v, ov in want.items() if not ov
+        }, g.arcs
+        assert {v for v, c in got.items() if c.is_restricted} == {
             v for v, ov in want.items() if g.out_arcs(v)[-1].label < m[len(ov)]
         }, g.arcs
 
@@ -259,8 +266,8 @@ def test_analysis_matches_tuple_reference():
             refused += 1
             continue
         t = analyze_max_arcs(g)
-        for name, value in want.items():
-            assert getattr(t, name) == value, (name, g.arcs)
+        for name in ("root", "cycles", "is_tree"):
+            assert getattr(t, name) == want[name], (name, g.arcs)
         avoid = t.avoid_set()
         assert (avoid.root, avoid.arc_by_vertex) == (want["root"], want["max_arc"])
         for v in want["max_arc"]:
@@ -283,9 +290,9 @@ def analyses_with_random_tables(g, rng):
     random_states = [rng.randrange(g.span) for _ in range(top)] + [-1]
     return [
         t,
-        structure._analysis(g, random_arcs, t._state),
-        structure._analysis(g, t._arc, random_states),
-        structure._analysis(g, random_arcs, random_states),
+        MaxArcAnalysis(g, random_arcs, t._state),
+        MaxArcAnalysis(g, t._arc, random_states),
+        MaxArcAnalysis(g, random_arcs, random_states),
     ]
 
 
@@ -403,16 +410,18 @@ def test_exhaustion_order_matches_reference_on_hand_built_graphs():
 def test_id_and_word_keyed_avoid_sets_agree():
     # The max-arc set an analysis makes holds arc ids; the same set keyed
     # by words is checked and turned into ids. Both must walk and verify
-    # alike.
+    # alike. An analysis makes its set once.
     for g in graphs_for_overlaps_and_cycles():
         t = analyze_max_arcs(g)
-        by_ids, by_words = t.avoid_set(), AvoidSet(t.root, dict(t.max_arc))
+        max_arc = {v: g.out_arcs(v)[-1] for v in g.vertices[:-1]}
+        by_ids, by_words = t.avoid_set(), AvoidSet(t.root, max_arc)
+        assert t.avoid_set() is by_ids
         walk = walk_avoiding(g, by_ids)
         assert walk == walk_avoiding(g, by_words), g.arcs
         assert exhaustion_order(walk, g) == exhaustion_order(walk_avoiding(g, by_words), g)
         assert verify_exhaustion_order(g, by_ids) == verify_exhaustion_order(g, by_words)
-        assert by_ids.arc_by_vertex == t.max_arc
-        assert list(by_ids.arc_by_vertex) == list(t.max_arc)
+        assert by_ids.arc_by_vertex == max_arc
+        assert list(by_ids.arc_by_vertex) == list(max_arc)
 
 
 def shuffled_exhaustion_times(g, ids):
@@ -507,8 +516,8 @@ def test_floor_path_verifier_handles_restricted_floor_start():
     # paths must stop there rather than flag a violation.
     g = graph_of(("012", ("002",), 2))
     t = analyze_max_arcs(g)
-    v = g.alphabet.word("00")
-    assert v in t.floor and v in t.restricted
+    c = classify_vertex(t, g.alphabet.word("00"))
+    assert c.is_floor and c.is_restricted
     assert verify_floor_paths(t).ok
 
 
@@ -530,7 +539,7 @@ def test_obstructions_golden5_match_cycle_construction():
     g = graph_of(GOLDEN5)
     t = analyze_max_arcs(g)
     expected = {
-        u + (t.max_label[u],) for cyc in t.cycles for u in cyc
+        u + (classify_vertex(t, u).max_label,) for cyc in t.cycles for u in cyc
     }
     assert {o.word for o in enumerate_obstructions(g)} == expected
 
@@ -539,7 +548,7 @@ def test_obstruction_cross_construction_on_corpus():
     for spec in ALL_INSTANCES:
         g = graph_of(spec)
         t = analyze_max_arcs(g)
-        expected = {u + (t.max_label[u],) for cyc in t.cycles for u in cyc}
+        expected = {u + (classify_vertex(t, u).max_label,) for cyc in t.cycles for u in cyc}
         assert {o.word for o in enumerate_obstructions(g)} == expected, spec
 
 
@@ -632,7 +641,7 @@ def test_obstruction_search_reads_no_max_arc_analysis(monkeypatch):
         raise AssertionError("the obstruction search read the max-arc analysis")
 
     monkeypatch.setattr(structure, "analyze_max_arcs", refuse)
-    monkeypatch.setattr(structure, "_analysis", refuse)
+    monkeypatch.setattr(structure, "MaxArcAnalysis", refuse)
     for spec in ALL_INSTANCES + random_instances(40):
         g = graph_of(spec)
         assert enumerate_obstructions(g) == oracle_obstructions(g), spec

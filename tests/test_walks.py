@@ -229,7 +229,7 @@ def test_word_lookups_build_no_tuple_graph():
     assert walk_label_target(g, a.word("00000"), a.word("10010")) == a.word("10010")
     steps = eulerian_cycle(twin, twin.max_vertex).steps
     assert Walk(twin.max_vertex, steps).is_eulerian(g)
-    avoid = AvoidSet(twin.max_vertex, dict(analyze_max_arcs(twin).max_arc))
+    avoid = AvoidSet(twin.max_vertex, dict(analyze_max_arcs(twin).avoid_set().arc_by_vertex))
     assert walk_avoiding(g, avoid).label == minimal_walk(g).label
     loaded = graph_from_json(graph_to_json(twin))
     assert not {"vertices", "arcs", "out"} & (set(g.__dict__) | set(loaded.__dict__))
@@ -242,10 +242,14 @@ def test_walks_start_at_the_graphs_own_word():
     start = list(g.max_vertex)
     cycle = eulerian_cycle(g, start)
     assert cycle.start == g.max_vertex and cycle.is_closed and cycle.is_eulerian(g)
-    avoid = AvoidSet(start, dict(analyze_max_arcs(g).max_arc))
+    avoid = AvoidSet(start, dict(analyze_max_arcs(g).avoid_set().arc_by_vertex))
     walk = walk_avoiding(g, avoid)
     assert walk.start == g.max_vertex and walk.is_closed and walk.is_eulerian(g)
     assert walk == minimal_walk(g)
+    # A hand-made walk keeps its start as a tuple too.
+    walk = Walk(start, cycle.steps)
+    assert walk.start == g.max_vertex and walk.is_closed and walk.is_eulerian(g)
+    assert walk == cycle and hash(walk) == hash(cycle)
 
 
 @pytest.mark.parametrize("argv", [
@@ -432,7 +436,7 @@ def test_walk_avoiding_with_unreached_two_cycle_truncates():
     g = build_graph(Language.from_text("01"), 3)
     a = g.alphabet
     t = analyze_max_arcs(g)
-    reserved = dict(t.max_arc)
+    reserved = dict(t.avoid_set().arc_by_vertex)
     # Reserve a 2-cycle 010 <-> 101: the avoiding walk cannot exhaust it.
     from debruijn_sft import word_to_arc
 
@@ -460,7 +464,7 @@ def test_avoid_set_errors_name_the_broken_rule():
     # root or key that is no word at all breaks the same rules.
     g = build_graph(Language.from_text("01"), 2)
     a = g.alphabet
-    reserved = dict(analyze_max_arcs(g).max_arc)
+    reserved = dict(analyze_max_arcs(g).avoid_set().arc_by_vertex)
     v = a.word("01")
     cases = [
         (AvoidSet(None, reserved), "root None is not in the graph"),
