@@ -90,8 +90,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     print(f"vertices {len(g.ranks)}")
     print(f"arcs {len(g.heads)}")
     print(f"max-vertex {g.alphabet.text(g.max_vertex)}")
-    highlight = analyze_max_arcs(g).avoid_set().arc_by_vertex.values() if args.highlight_t else ()
     if args.dot:
+        highlight = analyze_max_arcs(g).avoid_set().arc_by_vertex.values() if args.highlight_t else ()
         Path(args.dot).write_text(export_dot(g, highlight))
         print(f"dot {args.dot}")
     if args.json:

@@ -15,8 +15,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, chain, repeat
-from operator import sub
+from itertools import accumulate, chain, compress, repeat
+from operator import not_, sub
 from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
@@ -227,13 +227,14 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     if ties > 1:
         raise AmbiguousComponentError(f"{ties} strongly connected components tie at {best} arcs")
     if not all(inside):
-        kept = [v for v, keep in enumerate(inside) if keep]
-        new_id = dict(zip(kept, range(len(kept))))
-        arcs = [i for v in kept for i in range(first[v], first[v + 1])]
-        ranks = [ranks[v] for v in kept]
-        heads = [new_id[heads[i]] for i in arcs]
-        labels = [labels[i] for i in arcs]
-        first = [0, *accumulate(first[v + 1] - first[v] for v in kept)]
+        # A kept id moves down by the number of dropped ids before it, and
+        # an arc is kept when its head is.
+        dropped = list(accumulate(map(not_, inside)))
+        arc_kept = list(map(inside.__getitem__, heads))
+        ranks = list(compress(ranks, inside))
+        labels = list(compress(labels, arc_kept))
+        heads = [h - dropped[h] for h in compress(heads, arc_kept)]
+        first = [0, *accumulate(compress(map(sub, first[1:], first), inside))]
     return DeBruijnGraph(n, lang.alphabet, lang, ranks, first, heads, labels, rotation_closed=True)
 
 

@@ -5,7 +5,11 @@ the alphabetic order induced by the declared symbol order, never by
 codepoint. A word w of length n belongs to the language when the periodic
 repetition of w contains no forbidden factor, including across the seam.
 Enumeration works on word ranks: a word's rank is its value as a base-k
-number (k the alphabet size), so rank order is lexicographic order.
+number (k the alphabet size), so rank order is lexicographic order. Words
+are built from halves: the words read from an automaton state, grouped by
+the state they end in, join the words read on from that end state, and a
+joined rank is the left rank shifted past the right half plus the right
+rank.
 """
 
 from __future__ import annotations
@@ -148,16 +152,65 @@ def is_circular_word(lang: Language, w: Word) -> bool:
     return True
 
 
+# (state, length) -> {end state: ascending ranks}, as `_words_from` fills it
+_Halves = dict[tuple[int, int], dict[int, list[int]]]
+
+
+def _words_from(goto: list[list[int]], k: int, s: int, m: int, memo: _Halves) -> dict[int, list[int]]:
+    """The ranks of the length-m words that the automaton reads from state
+    s without dying, as {end state: ascending ranks}.
+
+    A word of length m is a left part of length m - m//2 read from s, then
+    a right part of length m//2 read on from the state t where the left
+    part ends. For each t the joined ranks ascend, since every left rank
+    is shifted past all right ranks; an end state reached from several t
+    gets its runs sorted together. Each (state, length) is built once per
+    `memo`, which the caller owns.
+    """
+    key = (s, m)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    out: dict[int, list[int]] = {}
+    if m == 0:
+        out[s] = [0]
+    elif m == 1:
+        for a, t in enumerate(goto[s]):
+            if t >= 0:
+                out.setdefault(t, []).append(a)
+    else:
+        low = m // 2
+        step = k ** low
+        merged: set[int] = set()   # end states joined from more than one t
+        for t, left in _words_from(goto, k, s, m - low, memo).items():
+            for u, right in _words_from(goto, k, t, low, memo).items():
+                joined = [l * step + r for l in left for r in right]
+                if u in out:
+                    out[u] += joined
+                    merged.add(u)
+                else:
+                    out[u] = joined
+        for u in merged:
+            out[u].sort()
+    memo[key] = out
+    return out
+
+
 def enumerate_ranks(lang: Language, n: int) -> list[int]:
     """The ranks of all circular words of length n, ascending.
 
     A word's rank is its base-k value (k the alphabet size), so rank order
-    is lexicographic order. Words grow letter by letter through the
-    forbidden-word automaton; prefixes that reach the same state have the
-    same futures, so they grow together as one list of ranks. The seam is
-    checked by reading on through the word's first max_forbidden_len - 1
-    letters, taken periodically. Those letters are fixed first, so each
-    group of prefixes shares them and the seam costs one pass per group.
+    is lexicographic order. The word's first max_forbidden_len - 1 letters
+    are fixed first, letter by letter through the forbidden-word automaton,
+    and the seam is checked by reading on through them, taken periodically,
+    from the state where the word ends. The rest of the word is two halves
+    joined at the automaton state between them, both made by `_words_from`:
+    a left half read from the prefix's state, and a right half read on from
+    where the left one ends, kept when its end state reads the seam. Halves
+    are built once per (state, length) and shared by every prefix, so each
+    rank is made O(log n) times. A prefix's ranks are one ascending run per
+    middle state, sorted together only when there are several; prefixes
+    come in rank order, so the whole output ascends.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -172,30 +225,35 @@ def enumerate_ranks(lang: Language, n: int) -> list[int]:
             (r * k + a, t, w + (a,))
             for r, s, w in prefixes for a, t in enumerate(goto[s]) if t >= 0
         ]
+    m = n - fixed
+    low = m // 2
+    step = k ** low
+    high = k ** (m - low)
+    memo: _Halves = {}
     out: list[int] = []
     for prefix, state, letters in prefixes:
-        groups = {state: [prefix]}
-        for _ in range(n - fixed):
-            grown: dict[int, list[int]] = {}
-            for s, ranks in groups.items():
-                for a, t in enumerate(goto[s]):
-                    if t < 0:
-                        continue
-                    children = [r * k + a for r in ranks]
-                    if t in grown:
-                        grown[t] += children
-                    else:
-                        grown[t] = children
-            groups = grown
         seam = letters if pad <= n else (letters * (pad // n + 1))[:pad]
-        for s, ranks in groups.items():
-            for a in seam:
-                s = goto[s][a]
-                if s < 0:
-                    break
-            else:
-                out += ranks
-    out.sort()
+        top = prefix * high
+        chunk: list[int] = []
+        runs = 0
+        for t, left in _words_from(goto, k, state, m - low, memo).items():
+            kept = []
+            for u, right in _words_from(goto, k, t, low, memo).items():
+                for a in seam:
+                    u = goto[u][a]
+                    if u < 0:
+                        break
+                else:
+                    kept.append(right)
+            if not kept:
+                continue
+            right = kept[0] if len(kept) == 1 else sorted([r for run in kept for r in run])
+            bases = [(top + l) * step for l in left]
+            chunk += [b + r for b in bases for r in right]
+            runs += 1
+        if runs > 1:
+            chunk.sort()
+        out += chunk
     return out
 
 

@@ -35,7 +35,7 @@ from debruijn_sft import (
     walk_avoiding,
 )
 from debruijn_sft import structure
-from debruijn_sft.language import decode_ranks
+from debruijn_sft.language import _automaton, decode_ranks
 from debruijn_sft.walks import check_balanced
 
 # Instances where the span-level irreducibility check passes; safe for
@@ -212,6 +212,43 @@ def oracle_words(lang: Language, n: int) -> list[Word]:
         w for w in itertools.product(range(lang.alphabet.size), repeat=n)
         if oracle_is_circular(lang, w)
     ]
+
+
+def oracle_enumerate_ranks(lang: Language, n: int) -> list[int]:
+    """The ranks of the circular words of length n, ascending, grown letter
+    by letter through the automaton: prefixes in the same state grow as one
+    list, the seam is read on through the first max_forbidden_len - 1
+    letters, taken periodically, and the output is sorted at the end."""
+    k = lang.alphabet.size
+    goto = _automaton(lang)
+    pad = max(lang.max_forbidden_len - 1, 0)
+    fixed = min(pad, n)
+    prefixes: list[tuple[int, int, Word]] = [(0, 0, ())]
+    for _ in range(fixed):
+        prefixes = [
+            (r * k + a, t, w + (a,))
+            for r, s, w in prefixes for a, t in enumerate(goto[s]) if t >= 0
+        ]
+    out: list[int] = []
+    for prefix, state, letters in prefixes:
+        groups = {state: [prefix]}
+        for _ in range(n - fixed):
+            grown: dict[int, list[int]] = {}
+            for s, ranks in groups.items():
+                for a, t in enumerate(goto[s]):
+                    if t >= 0:
+                        grown.setdefault(t, []).extend(r * k + a for r in ranks)
+            groups = grown
+        seam = letters if pad <= n else (letters * (pad // n + 1))[:pad]
+        for s, ranks in groups.items():
+            for a in seam:
+                s = goto[s][a]
+                if s < 0:
+                    break
+            else:
+                out += ranks
+    out.sort()
+    return out
 
 
 def oracle_main_component(words: list[Word], n: int) -> set[Word]:

@@ -201,7 +201,8 @@ def test_check_builds_no_tuple_graph(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("command", [
     # The largest graph of VIEW_ARGVS has 152 arcs; the oracle finds its
     # first circuits at once.
-    "verify", "graph", "oracle --max-arcs 152", "oracle --json --max-arcs 152",
+    # --highlight-t marks arcs only in the DOT file; without --dot it costs nothing.
+    "verify", "graph", "graph --highlight-t", "oracle --max-arcs 152", "oracle --json --max-arcs 152",
     "oracle --global --max-arcs 152", "check --json", "minimal --json", "seq --json",
     "count --json",
 ])

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -17,6 +18,8 @@ from debruijn_sft import (
     walk_label_target,
     word_to_arc,
 )
+
+from debruijn_sft.language import enumerate_ranks
 
 from corpus import ALL_INSTANCES, IRREDUCIBLE_INSTANCES, graph_of, language_of
 
@@ -371,3 +374,20 @@ def test_rotation_closure_is_recorded_with_the_arcs():
     assert one_loop.rotation_closed
     open_arc = graph_from_arcs(2, GOLDEN.alphabet, [Arc((1, 0), 0, (1, 1))], GOLDEN)
     assert not open_arc.rotation_closed
+
+
+def test_enumeration_and_build_leave_no_reference_cycles():
+    # With the collector off, a memo that holds itself (a recursive
+    # closure, say) would keep every intermediate list alive until the
+    # next collection; plain reference counting must free everything.
+    langs = [("01", ("11",)), ("01", ()), ("012", ("22",)), ("01", ("01111",))]
+    gc.collect()
+    gc.disable()
+    try:
+        for alphabet, forbidden in langs:
+            lang = Language.from_text(alphabet, forbidden)
+            enumerate_ranks(lang, 10)
+            build_graph(lang, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

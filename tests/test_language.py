@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -13,9 +15,12 @@ from debruijn_sft import (
     parse_language_text,
 )
 
-from debruijn_sft.language import _automaton, decode_ranks, enumerate_ranks
+from debruijn_sft.language import _automaton, _words_from, decode_ranks, enumerate_ranks
 
-from corpus import oracle_is_circular, oracle_words, random_instances
+from corpus import (
+    ALL_INSTANCES, language_of, oracle_enumerate_ranks, oracle_is_circular, oracle_words,
+    random_instances,
+)
 
 GOLDEN = Language.from_text("01", ("11",))
 
@@ -119,6 +124,46 @@ def test_enumerate_matches_brute_force_and_is_sorted():
             got = enumerate_words(lang, n)
             assert got == oracle_words(lang, n)
             assert got == sorted(got)
+
+
+def several_middle_states(lang, m):
+    """Check that every half built for the length-m words from the start
+    state ascends; return True when some end state of a join is reached
+    through more than one middle state."""
+    goto, memo = _automaton(lang), {}
+    _words_from(goto, lang.alphabet.size, 0, m, memo)
+    for groups in memo.values():
+        for ranks in groups.values():
+            assert all(a < b for a, b in zip(ranks, ranks[1:])), (lang, m)
+    return any(
+        max(Counter(u for t in memo[(s, length - length // 2)]
+                    for u in memo[(t, length // 2)]).values(), default=0) > 1
+        for s, length in memo if length >= 2
+    )
+
+
+def test_enumeration_by_halves_matches_letter_reference():
+    # Spans 1-18, each language stopping once its word count passes a cap.
+    rng = random.Random(2108)
+    langs = [language_of(spec) for spec in ALL_INSTANCES]
+    while len(langs) < len(ALL_INSTANCES) + 200:
+        alphabet = "012"[: rng.randint(2, 3)]
+        forbidden = {"".join(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+                     for _ in range(rng.randint(1, 3))}
+        langs.append(Language.from_text(alphabet, tuple(forbidden)))
+    seen = Counter()
+    for lang in langs:
+        pad = max(lang.max_forbidden_len - 1, 0)
+        for n in range(1, 19):
+            got = enumerate_ranks(lang, n)
+            assert got == oracle_enumerate_ranks(lang, n), (lang, n)
+            assert all(a < b for a, b in zip(got, got[1:])), (lang, n)
+            m = n - min(pad, n)   # the letters after the seam prefix
+            seen["below pad" if n < pad else "odd" if m % 2 else "even"] += 1
+            if len(got) > 2000:
+                break
+        seen["several middles"] += m >= 2 and several_middle_states(lang, m)
+    assert min(seen.values()) >= 50 and len(seen) == 4, seen
 
 
 def test_enumeration_memory_stays_flat_on_a_thin_language():
