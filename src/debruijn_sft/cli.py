@@ -30,7 +30,6 @@ from .structure import (
     analysis_to_json,
     analyze_max_arcs,
     check_cycle_label_blocks,
-    classify_vertex,
     decide_minimal_is_eulerian,
     verify_cycle_structure,
     verify_exhaustion_order,
@@ -136,8 +135,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"minimal-eulerian {'true' if decision.answer else 'false'}")
     print(f"via-tree {'true' if decision.via_tree else 'false'}")
     print(f"via-obstructions {'true' if decision.via_obstructions else 'false'}")
-    for cyc in decision.cycles:
-        labels = "".join(alpha.symbols[classify_vertex(t, v).max_label] for v in cyc)
+    for cyc, ids in zip(decision.cycles, t._cycles):
+        labels = "".join(alpha.symbols[g.labels[t._arc[v]]] for v in ids)
         print(f"cycle {'>'.join(alpha.text(v) for v in cyc)} label {labels}")
     for o in decision.obstructions:
         blocks = "".join(f"({alpha.text(h)}|{alpha.symbols[b]})" for h, b in o.blocks)

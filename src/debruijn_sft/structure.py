@@ -26,15 +26,17 @@ words: the cycles, the obstructions, violation texts, one vertex's
 `classify_vertex` record and the max-arc avoid set's `arc_by_vertex`. The
 exhaustion-order check reads an `AvoidSet` as reserved arc ids too: the
 one an analysis makes holds them, and a word-keyed one is turned into
-them. The max-arc subgraph is one map on ids: two tables, made once on
-first read, give the head and the label of each vertex's max arc, -1 at
-the root, and the verifiers that follow max arcs read them. The look-ahead
-along max-arc walks is a power of that map, by repeated squaring. The
-max-arc cycles come from one pass that stamps each vertex with the walk
-that first reached it. The same cycle-finder runs the obstruction search,
-on a second functional graph with one node per vertex, its top out-arc's
-word, where each step reads one block: a rotation splits into blocks when
-its word lies on a cycle whose blocks sum to a divisor of span+1.
+them. An analysis is its graph; each table is made on first read and
+kept, so `check` makes the max-arc ids and cycles only. The max-arc
+subgraph is one map on ids: two tables give the head and the label of
+each vertex's max arc, -1 at the root, and the verifiers that follow max
+arcs read them. The look-ahead along max-arc walks is a power of that
+map, by repeated squaring. The max-arc cycles come from one pass that
+stamps each vertex with the walk that first reached it. The same
+cycle-finder runs the obstruction search, on a second functional graph
+with one node per vertex, its top out-arc's word, where each step reads
+one block: a rotation splits into blocks when its word lies on a cycle
+whose blocks sum to a divisor of span+1.
 """
 
 from __future__ import annotations
@@ -54,19 +56,32 @@ from .walks import AvoidSet, _avoiding_ids, _exhaustion_times, _reserved_ids, mi
 class MaxArcAnalysis:
     """The max-arc subgraph of a graph and each vertex's overlap data.
 
-    The analysis is two tables on the graph's vertex ids: `_arc[v]` is the
-    id of v's maximum out-arc and `_state[v]` the length of v's overlap,
-    read from v's own letters; both are -1 at the root, the last id. The
-    rest is read from them when first asked for, and kept: `_succ` and
-    `_label`, the head and the label of each vertex's max arc (-1 at the
-    root), `_cycles`, the cycles of those arcs on ids, `cycles`, the same
-    cycles as words, and the avoid set of the max arcs. `classify_vertex`
-    reads one vertex's data by its word.
+    The analysis is its graph, with each table on its vertex ids made on
+    first read and kept: `_arc[v]`, the id of v's maximum out-arc, and
+    `_state[v]`, the length of v's overlap, both -1 at the root, the last
+    id; `_succ` and `_label`, the head and the label of v's max arc (-1 at
+    the root); `_cycles`, the cycles of those arcs on ids, `cycles`, the
+    same cycles as words, and the avoid set of the max arcs. A graph with
+    a non-root vertex without out-arcs is refused at construction.
+    `classify_vertex` reads one vertex's data by its word.
     """
 
     graph: DeBruijnGraph
-    _arc: list[int] = field(repr=False)
-    _state: list[int] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        g = self.graph
+        degrees = list(map(sub, g.first[1:], g.first))
+        if 0 in degrees[:-1]:   # the root, the last id, may have none
+            v = g.word_of(degrees.index(0))
+            raise ValueError(f"vertex {v} has no out-arc; graph is not analyzable")
+
+    @cached_property
+    def _arc(self) -> list[int]:
+        return [f - 1 for f in self.graph.first[1:-1]] + [-1]
+
+    @cached_property
+    def _state(self) -> list[int]:
+        return _overlap_states(self.graph)
 
     @property
     def root(self) -> Word:
@@ -87,7 +102,7 @@ class MaxArcAnalysis:
         # The root has no exit, so paths either reach it or wind into a
         # cycle. Ids follow word order, so the least id starts each cycle
         # and id tuples sort as the word tuples do. The successor map made
-        # here is not kept: `check` reads no other table.
+        # here is not kept: `check` reads only `_arc` and the cycles.
         cycles = []
         for cyc in _functional_cycles(_by_max_arc(self._arc, self.graph.heads)):
             i = cyc.index(min(cyc))
@@ -181,15 +196,18 @@ def _functional_cycles(succ: list[int]) -> list[list[int]]:
     return cycles
 
 
-def _overlap_states(g: DeBruijnGraph, goto: list[list[int]]) -> list[int]:
-    """The automaton state after each vertex's own letters, read from the
-    start state, by id.
+def _overlap_states(g: DeBruijnGraph) -> list[int]:
+    """The state of the automaton of the maximal vertex m after each
+    vertex's own letters, read from the start state, by id.
 
-    A vertex's word is its high half then its low half, read as base-k
+    On one word the automaton is the Knuth-Morris-Pratt matcher of m; only
+    u == m reaches its dead state, -1, so the root's state is -1. A
+    vertex's word is its high half then its low half, read as base-k
     digits of its rank. Each distinct high half is read once, and each
     distinct (state after the high half, low half) pair once, so vertices
     that share halves share the reading.
     """
+    goto = _automaton(Language(g.alphabet, frozenset({g.max_vertex})))
     k, n = g.alphabet.size, g.span
     low = n // 2
     step = k ** low
@@ -218,18 +236,7 @@ def _overlap_states(g: DeBruijnGraph, goto: list[list[int]]) -> list[int]:
 
 
 def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
-    root = g.max_vertex
-    top = len(g.ranks) - 1   # the root's id
-    degrees = list(map(sub, g.first[1:], g.first))
-    if 0 in degrees[:top]:
-        v = g.word_of(degrees.index(0))
-        raise ValueError(f"vertex {v} has no out-arc; graph is not analyzable")
-    # On one word the automaton is the Knuth-Morris-Pratt matcher of m; only
-    # u == m reaches its dead state, -1, so the root's state is -1.
-    state = _overlap_states(g, _automaton(Language(g.alphabet, frozenset({root}))))
-    arc = [f - 1 for f in g.first[1:]]
-    arc[top] = -1
-    return MaxArcAnalysis(g, arc, state)
+    return MaxArcAnalysis(g)
 
 
 def classify_vertex(t: MaxArcAnalysis, v: Word) -> VertexClass:

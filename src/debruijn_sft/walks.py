@@ -25,18 +25,18 @@ class Walk:
     """A walk: its start vertex and its arcs in order.
 
     `Walk(start, steps)` takes the arcs themselves, and keeps the start
-    as a tuple. The walkers of this module make walks from a graph's ids
-    instead: such a walk holds the graph and its arc ids, and reads
-    `label`, `end` and `is_eulerian` from them. Its `Arc`s are made when
-    `steps` is first read. Either way two walks are equal when their
+    and the steps as tuples. The walkers of this module make walks from a
+    graph's ids instead: such a walk holds the graph and its arc ids, and
+    reads `label`, `end` and `is_eulerian` from them. Its `Arc`s are made
+    when `steps` is first read. Either way two walks are equal when their
     starts and steps are, and a walk cannot be changed.
     """
 
     __slots__ = ("start", "_steps", "_graph", "_ids")
 
-    def __init__(self, start: Word, steps: tuple[Arc, ...]) -> None:
+    def __init__(self, start: Word, steps: Sequence[Arc]) -> None:
         object.__setattr__(self, "start", tuple(start))
-        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_steps", tuple(steps))
         object.__setattr__(self, "_graph", None)
 
     @classmethod

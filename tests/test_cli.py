@@ -242,6 +242,21 @@ def test_check_json_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("forbid, span, cycles, digest", [
+    ("11", 24, 45, "15b71ea894c2416e92b903a9ce83a9d8236b1122e81cc18d347612d7a1abdd66"),
+    ("111", 13, 9, "caecff00a8ee38d0f90d2111b94fe4f49f608db2f63be27d63d5165b2b6a1790"),
+    ("01111", 10, 3, "a6779ce065e0f52b9ac9c8077835557598d4a30d48eb68035cde584d4c70b7e1"),
+    ("0110", 20, 1, "0ef1c7d6162c912e48237194d90579171e005668590dbf2feba9dc327c99daae"),
+], ids=["11-24", "111-13", "01111-10", "0110-20"])
+def test_check_text_bytes_pinned(capsys, forbid, span, cycles, digest):
+    # sha256 of stdout, computed when each cycle's label was read vertex by
+    # vertex from `classify_vertex`; pins the `cycle ... label ...` lines.
+    code, out, err = run(capsys, "check", "--alphabet", "01", "--forbid", forbid, "--span", str(span))
+    assert (code, err) == (0, "")
+    assert sum(line.startswith("cycle ") for line in out.splitlines()) == cycles
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--alphabet", "01", "--forbid", "11", "--span", "5")
     assert (code, out.strip()) == (0, "2")
@@ -462,3 +477,20 @@ def test_each_analysis_runs_once_per_job(monkeypatch, capsys, argv, functions):
     code, _, _ = run(capsys, argv[0], *GOLDEN5, *argv[1:])
     assert code == 0
     assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("argv, made", [
+    (("check",), 0),
+    (("check", "--json"), 1),
+    (("verify",), 1),
+    (("oracle",), 0),
+    (("graph", "--dot", "{tmp}/g.dot", "--highlight-t"), 0),
+], ids=["check", "check-json", "verify", "oracle", "graph-highlight-t"])
+def test_overlap_states_are_made_only_where_read(monkeypatch, capsys, tmp_path, argv, made):
+    # Only the per-vertex overlap data reads the automaton of the maximal
+    # vertex: `check --json` and the verifiers, once per job.
+    calls = count_calls(monkeypatch, (structure._overlap_states,))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, _, _ = run(capsys, argv[0], *GOLDEN5, *argv[1:])
+    assert code == 0
+    assert calls == {"_overlap_states": made}

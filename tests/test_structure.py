@@ -288,12 +288,12 @@ def analyses_with_random_tables(g, rng):
     top = len(g.ranks) - 1
     random_arcs = [rng.randrange(g.first[v], g.first[v + 1]) for v in range(top)] + [-1]
     random_states = [rng.randrange(g.span) for _ in range(top)] + [-1]
-    return [
-        t,
-        MaxArcAnalysis(g, random_arcs, t._state),
-        MaxArcAnalysis(g, t._arc, random_states),
-        MaxArcAnalysis(g, random_arcs, random_states),
-    ]
+    fakes = []
+    for arc, state in [(random_arcs, t._state), (t._arc, random_states), (random_arcs, random_states)]:
+        fake = MaxArcAnalysis(g)
+        vars(fake).update(_arc=arc, _state=state)   # as if the cached tables were read
+        fakes.append(fake)
+    return [t, *fakes]
 
 
 def test_look_ahead_matches_path_reference():

@@ -246,9 +246,12 @@ def test_walks_start_at_the_graphs_own_word():
     walk = walk_avoiding(g, avoid)
     assert walk.start == g.max_vertex and walk.is_closed and walk.is_eulerian(g)
     assert walk == minimal_walk(g)
-    # A hand-made walk keeps its start as a tuple too.
+    # A hand-made walk keeps its start as a tuple too, and its steps.
     walk = Walk(start, cycle.steps)
     assert walk.start == g.max_vertex and walk.is_closed and walk.is_eulerian(g)
+    assert walk == cycle and hash(walk) == hash(cycle)
+    walk = Walk(cycle.start, list(cycle.steps))
+    assert walk.steps == cycle.steps and walk.is_eulerian(g)
     assert walk == cycle and hash(walk) == hash(cycle)
 
 
