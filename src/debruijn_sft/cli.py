@@ -2,8 +2,8 @@
 
 Subcommands: words, graph, seq, minimal, check, count, oracle, verify.
 Output is deterministic: identical invocations print identical bytes.
-Exit codes: 0 success, 1 domain error (or failed verification/certification),
-2 usage error.
+Exit codes: 0 success, 1 domain error, out of memory, or failed
+verification/certification, 2 usage error.
 """
 
 from __future__ import annotations
@@ -297,6 +297,12 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, OSError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
+        except MemoryError:
+            pass
+    # Reported outside the handler, once the traceback, and with it the
+    # frames that held the failed build's memory, has been let go.
+    print("error: out of memory; try a smaller --span", file=sys.stderr)
+    return 1
 
 
 def entry() -> None:

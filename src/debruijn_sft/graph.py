@@ -13,7 +13,6 @@ import warnings
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
 from operator import not_, sub
@@ -21,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
 from .language import (
-    Alphabet, Language, Word, decode_ranks, encode_word, enumerate_ranks, is_circular_word,
+    Alphabet, Language, Word, _Frozen, decode_ranks, encode_word, enumerate_ranks, is_circular_word,
 )
 
 
@@ -31,8 +30,7 @@ class Arc(NamedTuple):
     head: Word
 
 
-@dataclass(frozen=True, eq=False)
-class DeBruijnGraph:
+class DeBruijnGraph(_Frozen):
     """A graph on dense vertex ids, with tuple views made on first read.
 
     Vertex id v is the word of base-k value ranks[v]. Ranks ascend, so ids
@@ -51,20 +49,25 @@ class DeBruijnGraph:
     arc shares the one tuple of each of its ends. `max_vertex` alone is
     decoded at once. Only the exports read the views; every algorithm
     finds arcs on the tables, through `_arc_id` or `_id_of_arc`.
+
+    A graph cannot be changed, and is equal only to itself.
     """
 
-    span: int
-    alphabet: Alphabet
-    language: Language | None
-    ranks: list[int]
-    first: list[int]
-    heads: list[int]
-    labels: list[int]
-    rotation_closed: bool = False
-    max_vertex: Word = field(init=False)
+    def __init__(
+        self, span: int, alphabet: Alphabet, language: Language | None, ranks: list[int],
+        first: list[int], heads: list[int], labels: list[int], rotation_closed: bool = False,
+    ) -> None:
+        vars(self).update(
+            span=span, alphabet=alphabet, language=language, ranks=ranks, first=first,
+            heads=heads, labels=labels, rotation_closed=rotation_closed,
+            max_vertex=decode_ranks(ranks[-1:], alphabet.size, span)[0],
+        )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "max_vertex", self.word_of(len(self.ranks) - 1))
+    def __repr__(self) -> str:   # the id tables are left out
+        return (
+            f"DeBruijnGraph(span={self.span!r}, alphabet={self.alphabet!r}, "
+            f"language={self.language!r}, rotation_closed={self.rotation_closed!r})"
+        )
 
     @cached_property
     def vertices(self) -> tuple[Word, ...]:   # lexicographically sorted
@@ -238,8 +241,7 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     return DeBruijnGraph(n, lang.alphabet, lang, ranks, first, heads, labels, rotation_closed=True)
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     irreducible: bool
     reason: str
     excluded: tuple[Word, ...]

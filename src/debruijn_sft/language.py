@@ -14,25 +14,46 @@ rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import NotIrreducibleError
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite ordered symbol set; rank in ``symbols`` is the total order."""
+class _Frozen:
+    """Refuses assignment and deletion; `__init__` and `cached_property`
+    write around it, through `object.__setattr__` or the instance dict."""
 
-    symbols: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.symbols) < 2:
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Frozen):
+    """Finite ordered symbol set; rank in ``symbols`` is the total order.
+
+    Equal, and hashed alike, when the symbols are."""
+
+    def __init__(self, symbols: tuple[str, ...]) -> None:
+        if len(symbols) < 2:
             raise ValueError("alphabet needs at least 2 symbols")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        object.__setattr__(self, "_rank", {s: i for i, s in enumerate(self.symbols)})
+        vars(self).update(symbols=symbols, _rank={s: i for i, s in enumerate(symbols)})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(symbols={self.symbols!r})"
 
     @classmethod
     def from_text(cls, text: str) -> "Alphabet":
@@ -45,7 +66,7 @@ class Alphabet:
 
     def rank(self, symbol: str) -> int:
         try:
-            return self._rank[symbol]  # type: ignore[attr-defined]
+            return self._rank[symbol]
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
@@ -58,19 +79,29 @@ class Alphabet:
         return "".join([symbols[r] for r in word])
 
 
-@dataclass(frozen=True)
-class Language:
-    """Alphabet plus a finite set of forbidden factors (duplicates removed)."""
+class Language(_Frozen):
+    """Alphabet plus a finite set of forbidden factors (duplicates removed).
 
-    alphabet: Alphabet
-    forbidden: frozenset[Word] = field(default_factory=frozenset)
+    Equal, and hashed alike, when the alphabets and the forbidden sets are."""
 
-    def __post_init__(self) -> None:
-        for f in self.forbidden:
+    def __init__(self, alphabet: Alphabet, forbidden: frozenset[Word] = frozenset()) -> None:
+        for f in forbidden:
             if len(f) == 0:
                 raise ValueError("forbidden words must be nonempty")
-            if any(not (0 <= r < self.alphabet.size) for r in f):
+            if any(not (0 <= r < alphabet.size) for r in f):
                 raise ValueError(f"forbidden word {f} uses symbols outside the alphabet")
+        vars(self).update(alphabet=alphabet, forbidden=forbidden)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.forbidden) == (other.alphabet, other.forbidden)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.forbidden))
+
+    def __repr__(self) -> str:
+        return f"Language(alphabet={self.alphabet!r}, forbidden={self.forbidden!r})"
 
     @classmethod
     def from_text(cls, alphabet_text: str, forbidden_texts: tuple[str, ...] | list[str] = ()) -> "Language":

@@ -9,7 +9,7 @@ checked first. The backtracker runs on the graph's vertex and arc ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotEulerianError, TooLargeError
 from .graph import DeBruijnGraph
@@ -28,8 +28,7 @@ def _guard(g: DeBruijnGraph, max_arcs: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     walks: tuple[Walk, ...]
     truncated: bool
 
@@ -94,8 +93,7 @@ def minimal_eulerian_label(
     return walks[0].label
 
 
-@dataclass(frozen=True)
-class GlobalMinimum:
+class GlobalMinimum(NamedTuple):
     start: Word
     label: Word
 
@@ -113,8 +111,7 @@ def global_minimal_label(g: DeBruijnGraph, max_arcs: int = DEFAULT_MAX_ARCS) -> 
     return GlobalMinimum(start=g.word_of(v), label=label)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     greedy_label: Word
     greedy_eulerian: bool
     oracle_label: Word

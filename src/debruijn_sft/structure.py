@@ -42,18 +42,17 @@ whose blocks sum to a divisor of span+1.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import sub
+from typing import NamedTuple
 
 from .errors import TheoremViolationError
 from .graph import Arc, DeBruijnGraph
-from .language import Language, Word, _automaton, decode_ranks, encode_word
+from .language import Language, Word, _automaton, _Frozen, decode_ranks, encode_word
 from .walks import AvoidSet, _avoiding_ids, _exhaustion_times, _reserved_ids, minimal_walk
 
 
-@dataclass(frozen=True, eq=False)
-class MaxArcAnalysis:
+class MaxArcAnalysis(_Frozen):
     """The max-arc subgraph of a graph and each vertex's overlap data.
 
     The analysis is its graph, with each table on its vertex ids made on
@@ -63,17 +62,19 @@ class MaxArcAnalysis:
     the root); `_cycles`, the cycles of those arcs on ids, `cycles`, the
     same cycles as words, and the avoid set of the max arcs. A graph with
     a non-root vertex without out-arcs is refused at construction.
-    `classify_vertex` reads one vertex's data by its word.
+    `classify_vertex` reads one vertex's data by its word. An analysis
+    cannot be changed, and is equal only to itself.
     """
 
-    graph: DeBruijnGraph
-
-    def __post_init__(self) -> None:
-        g = self.graph
-        degrees = list(map(sub, g.first[1:], g.first))
+    def __init__(self, graph: DeBruijnGraph) -> None:
+        degrees = list(map(sub, graph.first[1:], graph.first))
         if 0 in degrees[:-1]:   # the root, the last id, may have none
-            v = g.word_of(degrees.index(0))
+            v = graph.word_of(degrees.index(0))
             raise ValueError(f"vertex {v} has no out-arc; graph is not analyzable")
+        vars(self)["graph"] = graph
+
+    def __repr__(self) -> str:
+        return f"MaxArcAnalysis(graph={self.graph!r})"
 
     @cached_property
     def _arc(self) -> list[int]:
@@ -134,8 +135,7 @@ def _by_max_arc(arc: list[int], table: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     overlap: Word
     overlap_next: int
     max_label: int
@@ -143,8 +143,7 @@ class VertexClass:
     is_restricted: bool
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """A word certifying the greedy walk cannot cover the graph.
 
     ``blocks`` concatenate to the rotation of ``word`` by ``rotation``
@@ -155,18 +154,39 @@ class Obstruction:
     blocks: tuple[tuple[Word, int], ...]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
+    """The decision and both criteria. `analysis` is carried along for the
+    verifiers and exports, but left out of equality, hashing and repr."""
+
     answer: bool
     via_tree: bool
     via_obstructions: bool
     cycles: tuple[tuple[Word, ...], ...]
     obstructions: tuple[Obstruction, ...]
-    analysis: MaxArcAnalysis = field(compare=False, repr=False)
+    analysis: MaxArcAnalysis
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:5] != other[:5]
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
+
+    def __repr__(self) -> str:
+        return (
+            f"Decision(answer={self.answer!r}, via_tree={self.via_tree!r}, "
+            f"via_obstructions={self.via_obstructions!r}, cycles={self.cycles!r}, "
+            f"obstructions={self.obstructions!r})"
+        )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     checks: int
     violations: tuple[str, ...]

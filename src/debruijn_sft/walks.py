@@ -10,7 +10,6 @@ for what is returned as words; a walk starts at the graph's own word.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain, repeat
 from operator import sub
@@ -18,10 +17,10 @@ from typing import Mapping, Sequence
 
 from .errors import NotEulerianError
 from .graph import Arc, DeBruijnGraph
-from .language import Word, decode_ranks
+from .language import Word, _Frozen, decode_ranks
 
 
-class Walk:
+class Walk(_Frozen):
     """A walk: its start vertex and its arcs in order.
 
     `Walk(start, steps)` takes the arcs themselves, and keeps the start
@@ -100,14 +99,8 @@ class Walk:
         # takes arcs, since a walk refuses assignment.
         return Walk, (self.start, self.steps)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class AvoidSet:
+class AvoidSet(_Frozen):
     """One reserved out-arc per non-root vertex; the root reserves none.
 
     `AvoidSet(root, arc_by_vertex)` takes the reserved arcs keyed by
@@ -143,12 +136,6 @@ class AvoidSet:
 
     def __reduce__(self) -> tuple:
         return AvoidSet, (self.root, self.arc_by_vertex)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def check_avoid_set(g: DeBruijnGraph, avoid: AvoidSet) -> None:

@@ -439,6 +439,27 @@ def test_closed_stdout_reader_stops_quietly():
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    def build_graph_out_of_memory(lang, n):
+        raise MemoryError
+    monkeypatch.setattr(cli, "build_graph", build_graph_out_of_memory)
+    code, out, err = run(capsys, "check", *GOLDEN5)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Together they are most of the start-up cost of a fresh process.
+    src = str(Path(__file__).parent.parent / "src")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import debruijn_sft.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_later_call_does_not_see_earlier_forbidden_words(capsys):
     # The parser is shared by every call in the process.
     run(capsys, "words", "--alphabet", "01", "--forbid", "11", "--span", "3")
