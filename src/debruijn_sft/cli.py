@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import warnings
@@ -64,8 +63,13 @@ def _graph(args: argparse.Namespace) -> DeBruijnGraph:
     return build_graph(_language(args), args.span)
 
 
+def _json_text(data: dict | list) -> str:
+    import json   # here, not at start-up: only --json output needs it
+    return json.dumps(data, indent=2)
+
+
 def _print_json(data: dict | list) -> None:
-    print(json.dumps(data, indent=2))
+    print(_json_text(data))
 
 
 def _cmd_words(args: argparse.Namespace) -> int:
@@ -94,7 +98,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         Path(args.dot).write_text(export_dot(g, highlight))
         print(f"dot {args.dot}")
     if args.json:
-        Path(args.json).write_text(json.dumps(graph_to_json(g), indent=2) + "\n")
+        Path(args.json).write_text(_json_text(graph_to_json(g)) + "\n")
         print(f"json {args.json}")
     return 0
 

@@ -234,14 +234,17 @@ def enumerate_ranks(lang: Language, n: int) -> list[int]:
     is lexicographic order. The word's first max_forbidden_len - 1 letters
     are fixed first, letter by letter through the forbidden-word automaton,
     and the seam is checked by reading on through them, taken periodically,
-    from the state where the word ends. The rest of the word is two halves
-    joined at the automaton state between them, both made by `_words_from`:
-    a left half read from the prefix's state, and a right half read on from
-    where the left one ends, kept when its end state reads the seam. Halves
-    are built once per (state, length) and shared by every prefix, so each
-    rank is made O(log n) times. A prefix's ranks are one ascending run per
-    middle state, sorted together only when there are several; prefixes
-    come in rank order, so the whole output ascends.
+    from the state where the word ends. When at most 3 letters remain,
+    each prefix is read on letter by letter: so few words per prefix share
+    too little to pay for halves. Otherwise the rest of the word is two
+    halves joined at the automaton state between them, both made by
+    `_words_from`: a left half read from the prefix's state, and a right
+    half read on from where the left one ends, kept when its end state
+    reads the seam. Halves are built once per (state, length) and shared
+    by every prefix, so each rank is made O(log n) times. A prefix's ranks
+    are one ascending run per middle state, sorted together only when
+    there are several; prefixes come in rank order, so the whole output
+    ascends.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -264,6 +267,18 @@ def enumerate_ranks(lang: Language, n: int) -> list[int]:
     out: list[int] = []
     for prefix, state, letters in prefixes:
         seam = letters if pad <= n else (letters * (pad // n + 1))[:pad]
+        if m <= 3:
+            ends = [(prefix, state)]
+            for _ in range(m):
+                ends = [(r * k + a, t) for r, s in ends for a, t in enumerate(goto[s]) if t >= 0]
+            for r, u in ends:
+                for a in seam:
+                    u = goto[u][a]
+                    if u < 0:
+                        break
+                else:
+                    out.append(r)
+            continue
         top = prefix * high
         chunk: list[int] = []
         runs = 0

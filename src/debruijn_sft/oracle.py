@@ -4,12 +4,14 @@ Exhaustive backtracking over Eulerian circuits, true minimal circuit
 labels, the global minimum over all start vertices, and a certification
 verdict tying the greedy walk, the decision procedure, and the oracle
 together. Everything here is factorial-time and guarded by an arc bound,
-checked first. The backtracker runs on the graph's vertex and arc ids.
+checked first. One backtracker, on the graph's vertex and arc ids,
+serves every search; the global one bounds each start by the least label
+found before it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import NotEulerianError, TooLargeError
 from .graph import DeBruijnGraph
@@ -33,6 +35,58 @@ class EnumerationResult(NamedTuple):
     truncated: bool
 
 
+def _circuits(g: DeBruijnGraph, at: int, bound: Word | None = None) -> Iterator[list[int]]:
+    """The Eulerian circuits from vertex id `at`, as lists of arc ids, in
+    label order.
+
+    Backtracking tries arcs in ascending label order, so circuits come out
+    sorted by label. With `bound`, a circuit label, only circuits labelled
+    below it are yielded, and the search ends at the first path whose
+    label is above the bound's at the same depth: every later path from
+    `at` is larger still.
+    """
+    first, heads, labels = g.first, g.heads, g.labels
+    total = len(heads)
+    used = bytearray(total)
+    path: list[int] = []
+    # The depth at which the path's label fell below the bound; `total`
+    # while the path spells a prefix of the bound, and -1 with no bound.
+    below = total if bound is not None else -1
+    # One iterator over the out-arc ids of the current vertex per depth,
+    # so circuits of any length need no recursion.
+    frames = [iter(range(first[at], first[at + 1]))]
+    while frames:
+        for i in frames[-1]:
+            if not used[i]:
+                break
+        else:
+            frames.pop()
+            if path:
+                used[path.pop()] = 0
+                if len(path) == below:
+                    below = total
+            continue
+        depth = len(path)
+        if depth < below:
+            if labels[i] > bound[depth]:
+                return
+            if labels[i] < bound[depth]:
+                below = depth
+        used[i] = 1
+        path.append(i)
+        h = heads[i]
+        if depth + 1 < total:
+            frames.append(iter(range(first[h], first[h + 1])))
+            continue
+        if h == at:
+            if below == total:   # the bound itself: nothing smaller follows
+                return
+            yield path.copy()
+        used[path.pop()] = 0
+        if depth == below:
+            below = total
+
+
 def enumerate_eulerian_cycles(
     g: DeBruijnGraph, start: Word, cap: int | None = None,
     max_arcs: int = DEFAULT_MAX_ARCS,
@@ -49,34 +103,12 @@ def enumerate_eulerian_cycles(
         raise ValueError(f"vertex {start} is not in the graph")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    first, heads = g.first, g.heads
     start = g.word_of(at)
-    used = bytearray(len(heads))
-    path: list[int] = []
     found: list[Walk] = []
-    # One iterator over the out-arc ids of the current vertex per depth,
-    # so circuits of any length need no recursion.
-    frames = [iter(range(first[at], first[at + 1]))]
-    while frames:
-        for i in frames[-1]:
-            if not used[i]:
-                break
-        else:
-            frames.pop()
-            if path:
-                used[path.pop()] = 0
-            continue
-        used[i] = 1
-        path.append(i)
-        h = heads[i]
-        if len(path) < len(heads):
-            frames.append(iter(range(first[h], first[h + 1])))
-            continue
-        if h == at:
-            found.append(Walk._of_ids(g, start, path.copy()))
-            if cap is not None and len(found) >= cap:
-                return EnumerationResult(tuple(found), truncated=True)
-        used[path.pop()] = 0
+    for ids in _circuits(g, at):
+        found.append(Walk._of_ids(g, start, ids))
+        if cap is not None and len(found) >= cap:
+            return EnumerationResult(tuple(found), truncated=True)
     return EnumerationResult(tuple(found), truncated=False)
 
 
@@ -102,13 +134,22 @@ def global_minimal_label(g: DeBruijnGraph, max_arcs: int = DEFAULT_MAX_ARCS) -> 
     """Smallest Eulerian-circuit label over every start vertex.
 
     The winner can differ from the maximal vertex, in which case the
-    greedy-from-maximal answer is not the global optimum."""
+    greedy-from-maximal answer is not the global optimum. A branch and
+    bound over the starts: each one's search is bounded by the least label
+    found so far, so it ends once its paths pass that label, and yields a
+    circuit only when it beats it."""
     _guard(g, max_arcs)
-    # Over vertex ids, so the first id, in word order, wins a tie.
-    label, v = min(
-        (minimal_eulerian_label(g, g.word_of(v), max_arcs=max_arcs), v) for v in range(len(g.ranks))
-    )
-    return GlobalMinimum(start=g.word_of(v), label=label)
+    labels = g.labels
+    best: Word | None = None
+    # Over vertex ids, and only a strictly smaller label replaces the
+    # best, so the first id, in word order, wins a tie.
+    for v in range(len(g.ranks)):
+        ids = next(_circuits(g, v, best), None)
+        if ids is not None:
+            best, winner = tuple([labels[i] for i in ids]), v
+        elif best is None:
+            raise NotEulerianError(f"no Eulerian circuit from {g.word_of(v)}")
+    return GlobalMinimum(start=g.word_of(winner), label=best)
 
 
 class Verdict(NamedTuple):

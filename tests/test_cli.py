@@ -449,11 +449,12 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # Together they are most of the start-up cost of a fresh process.
+    # Together they are most of the start-up cost of a fresh process;
+    # json is needed only for --json output.
     src = str(Path(__file__).parent.parent / "src")
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import debruijn_sft.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     )
     done = subprocess.run([sys.executable, "-I", "-c", probe, src],
                           capture_output=True, text=True, timeout=60, check=True)

@@ -159,11 +159,16 @@ def test_enumeration_by_halves_matches_letter_reference():
             assert got == oracle_enumerate_ranks(lang, n), (lang, n)
             assert all(a < b for a, b in zip(got, got[1:])), (lang, n)
             m = n - min(pad, n)   # the letters after the seam prefix
-            seen["below pad" if n < pad else "odd" if m % 2 else "even"] += 1
+            if n < pad:
+                seen["below pad"] += 1
+            elif m <= 3:
+                seen["letter by letter"] += 1
+            else:   # built from halves
+                seen["odd" if m % 2 else "even"] += 1
             if len(got) > 2000:
                 break
-        seen["several middles"] += m >= 2 and several_middle_states(lang, m)
-    assert min(seen.values()) >= 50 and len(seen) == 4, seen
+        seen["several middles"] += m >= 4 and several_middle_states(lang, m)
+    assert min(seen.values()) >= 50 and len(seen) == 5, seen
 
 
 def test_enumeration_memory_stays_flat_on_a_thin_language():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from debruijn_sft import (
@@ -22,6 +24,7 @@ from debruijn_sft.language import Alphabet
 
 from corpus import (
     ALL_INSTANCES, graph_of, oracle_enumerate_eulerian_cycles, random_balanced_graphs,
+    random_hand_built_graphs,
 )
 
 BINARY = Alphabet.from_text("01")
@@ -41,8 +44,14 @@ def test_enumeration_complete_and_sorted():
 
 
 def reference_graphs() -> list[DeBruijnGraph]:
+    # The hand-built graphs have at most 18 arcs; most have no circuit,
+    # and in a few two starts share the least label.
     graphs = [graph_of(spec) for spec in ALL_INSTANCES]
-    return [g for g in graphs if len(g.heads) <= 24] + random_balanced_graphs(100, seed=11)
+    return (
+        [g for g in graphs if len(g.heads) <= 24]
+        + random_balanced_graphs(100, seed=11)
+        + random_hand_built_graphs(200, seed=3)
+    )
 
 
 def test_enumeration_matches_tuple_reference():
@@ -61,15 +70,22 @@ def test_enumeration_matches_tuple_reference():
 
 
 def test_global_minimum_matches_tuple_reference():
+    # Each start's search is bounded by the best label before it, so the
+    # inputs must include graphs with no circuit and graphs whose least
+    # label is shared by two starts, where the first start must win.
+    seen = {"no circuit": 0, "tie": 0}
     for g in reference_graphs():
         firsts = [oracle_enumerate_eulerian_cycles(g, v, 1)[0] for v in g.vertices]
         if not all(firsts):
-            with pytest.raises(NotEulerianError):
+            seen["no circuit"] += 1
+            with pytest.raises(NotEulerianError, match=re.escape(f"from {g.vertices[0]}")):
                 global_minimal_label(g)
             continue
         label, start = min((walks[0].label, walks[0].start) for walks in firsts)
+        seen["tie"] += [walks[0].label for walks in firsts].count(label) > 1
         best = global_minimal_label(g)
         assert (best.label, best.start) == (label, start), g.arcs
+    assert all(seen.values()), seen
 
 
 def test_enumeration_two_cycle():
