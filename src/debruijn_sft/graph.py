@@ -278,10 +278,11 @@ def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
 
 
 def arc_to_word(g: DeBruijnGraph, arc: Arc) -> Word:
-    """The length-(n+1) word carried by an arc of g."""
-    if arc not in g:
+    """The length-(n+1) word carried by an arc of g, as g spells it."""
+    i = g._id_of_arc(arc)
+    if i < 0:
         raise ValueError(f"arc {arc} does not belong to this graph")
-    return arc.tail + (arc.label,)
+    return g.word_of(g.id_of(arc.tail)) + (g.labels[i],)
 
 
 def word_to_arc(g: DeBruijnGraph, w: Word) -> Arc:

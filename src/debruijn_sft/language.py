@@ -20,8 +20,9 @@ Word = tuple[int, ...]
 
 
 class _Frozen:
-    """Refuses assignment and deletion; `__init__` and `cached_property`
-    write around it, through `object.__setattr__` or the instance dict."""
+    """Refuses assignment and deletion. The one way around it is the
+    instance dict: constructors fill it with `vars(self).update`, and
+    `cached_property` writes there on first read."""
 
     __slots__ = ()
 
@@ -90,7 +91,10 @@ class Language(_Frozen):
                 raise ValueError("forbidden words must be nonempty")
             if any(not (0 <= r < alphabet.size) for r in f):
                 raise ValueError(f"forbidden word {f} uses symbols outside the alphabet")
-        vars(self).update(alphabet=alphabet, forbidden=forbidden)
+        vars(self).update(
+            alphabet=alphabet, forbidden=forbidden,
+            max_forbidden_len=max((len(f) for f in forbidden), default=0),
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -107,10 +111,6 @@ class Language(_Frozen):
     def from_text(cls, alphabet_text: str, forbidden_texts: tuple[str, ...] | list[str] = ()) -> "Language":
         alphabet = Alphabet.from_text(alphabet_text)
         return cls(alphabet, frozenset(alphabet.word(t) for t in forbidden_texts))
-
-    @property
-    def max_forbidden_len(self) -> int:
-        return max((len(f) for f in self.forbidden), default=0)
 
 
 def parse_language_text(text: str) -> Language:

@@ -432,12 +432,14 @@ def check_cycle_label_blocks(t: MaxArcAnalysis, cycle: tuple[Word, ...]) -> Veri
     going around from a restricted vertex, the overlap/max-label pairs of
     the following restricted vertices concatenate to one loop label, and
     its repetitions reproduce the vertex itself."""
-    if cycle not in t.cycles:
-        raise ValueError("not a cycle of this analysis")
+    try:
+        at = t.cycles.index(tuple(map(tuple, cycle)))
+    except (TypeError, ValueError):   # not a sequence of words, or not a cycle here
+        raise ValueError("not a cycle of this analysis") from None
+    cycle, ids = t.cycles[at], t._cycles[at]
     n = t.graph.span
     m, state = t.root, t._state
     label = t._label
-    ids = t._cycles[t.cycles.index(cycle)]
     rest = [(u, v) for u, v in zip(cycle, ids) if label[v] < m[state[v]]]
     if not rest:
         return VerificationReport(

@@ -23,65 +23,57 @@ from .language import Word, _Frozen, decode_ranks
 class Walk(_Frozen):
     """A walk: its start vertex and its arcs in order.
 
-    `Walk(start, steps)` takes the arcs themselves, and keeps the start
-    and the steps as tuples. The walkers of this module make walks from a
-    graph's ids instead: such a walk holds the graph and its arc ids, and
-    reads `label`, `end` and `is_eulerian` from them. Its `Arc`s are made
-    when `steps` is first read. Either way two walks are equal when their
-    starts and steps are, and a walk cannot be changed.
+    `Walk(start, steps)` takes the arcs themselves and keeps the start
+    and the steps as tuples, with the label and the end read from the
+    steps by position, so plain (tail, label, head) tuples do too.
+    The walkers of this module make walks from a graph's ids instead:
+    such a walk holds the graph and its arc ids, and makes `steps`,
+    `label` and `end` from them when each is first read. Either way each
+    is made once, two walks are equal when their starts and steps are,
+    and a walk cannot be changed.
     """
 
-    __slots__ = ("start", "_steps", "_graph", "_ids")
-
     def __init__(self, start: Word, steps: Sequence[Arc]) -> None:
-        object.__setattr__(self, "start", tuple(start))
-        object.__setattr__(self, "_steps", tuple(steps))
-        object.__setattr__(self, "_graph", None)
+        start, steps = tuple(start), tuple(steps)
+        vars(self).update(
+            start=start, steps=steps, label=tuple([a[1] for a in steps]),
+            end=steps[-1][2] if steps else start, _graph=None,
+        )
 
     @classmethod
     def _of_ids(cls, g: DeBruijnGraph, start: Word, ids: list[int]) -> Walk:
         """The walk from vertex `start` along the arc ids `ids` of g."""
         walk = object.__new__(cls)
-        object.__setattr__(walk, "start", start)
-        object.__setattr__(walk, "_steps", None)
-        object.__setattr__(walk, "_graph", g)
-        object.__setattr__(walk, "_ids", ids)
+        vars(walk).update(start=start, _graph=g, _ids=ids)
         return walk
 
-    @property
+    @cached_property
     def steps(self) -> tuple[Arc, ...]:
-        if self._steps is None:
-            arcs = self._graph.arcs
-            object.__setattr__(self, "_steps", tuple([arcs[i] for i in self._ids]))
-        return self._steps
+        arcs = self._graph.arcs
+        return tuple([arcs[i] for i in self._ids])
 
-    @property
+    @cached_property
     def label(self) -> Word:
-        if self._graph is None:
-            return tuple(a.label for a in self._steps)
         labels = self._graph.labels
         return tuple([labels[i] for i in self._ids])
 
-    @property
+    @cached_property
     def end(self) -> Word:
-        if self._graph is None:
-            return self._steps[-1].head if self._steps else self.start
-        if not self._ids:
-            return self.start
-        return self._graph.word_of(self._graph.heads[self._ids[-1]])
+        g, ids = self._graph, self._ids
+        return g.word_of(g.heads[ids[-1]]) if ids else self.start
 
     @property
     def is_closed(self) -> bool:
         return self.end == self.start
 
     def is_eulerian(self, g: DeBruijnGraph) -> bool:
-        if self._graph is g:   # the walkers spend each arc at most once
-            return self.is_closed and len(self._ids) == len(g.heads)
         try:
             ids = _arc_ids(self, g)
         except ValueError:   # the steps do not chain through arcs of g
             return False
-        return self.is_closed and len(ids) == len(g.heads) and len(set(ids)) == len(ids)
+        # The walkers spend each arc of their own graph at most once.
+        return (self.is_closed and len(ids) == len(g.heads)
+                and (self._graph is g or len(set(ids)) == len(ids)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -95,35 +87,32 @@ class Walk(_Frozen):
         return f"Walk(start={self.start!r}, steps={self.steps!r})"
 
     def __reduce__(self) -> tuple:
-        # Copies and pickles are remade through the constructor, which
-        # takes arcs, since a walk refuses assignment.
+        # Copies and pickles are remade from the arcs, through the
+        # constructor, so they do not carry a walker's graph along.
         return Walk, (self.start, self.steps)
 
 
 class AvoidSet(_Frozen):
     """One reserved out-arc per non-root vertex; the root reserves none.
 
-    `AvoidSet(root, arc_by_vertex)` takes the reserved arcs keyed by
-    vertex words. `MaxArcAnalysis.avoid_set()` makes one from a graph's
-    ids instead: it holds the graph and, per vertex id, the id of the
-    reserved arc, -1 at the root, and makes `arc_by_vertex` when it is
-    first read. The walkers and the exhaustion-order check read those ids
-    directly, and turn a word-keyed set into the same ids. Either way an
-    avoid set cannot be changed, and is equal only to itself.
+    `AvoidSet(root, arc_by_vertex)` keeps the reserved arcs keyed by
+    vertex words, as given. `MaxArcAnalysis.avoid_set()` makes one from a
+    graph's ids instead: it holds the graph and, per vertex id, the id of
+    the reserved arc, -1 at the root, and its `arc_by_vertex` is a view
+    of those ids made once, when first read. The walkers and the
+    exhaustion-order check read the ids directly, and turn a word-keyed
+    set into the same ids. Either way an avoid set cannot be changed, and
+    is equal only to itself.
     """
 
     def __init__(self, root: Word, arc_by_vertex: Mapping[Word, Arc]) -> None:
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "arc_by_vertex", arc_by_vertex)   # in place of the view
-        object.__setattr__(self, "_graph", None)
+        vars(self).update(root=root, arc_by_vertex=arc_by_vertex, _graph=None)
 
     @classmethod
     def _of_ids(cls, g: DeBruijnGraph, root: Word, arc: list[int]) -> AvoidSet:
         """The avoid set of g reserving arc id arc[v] at each vertex id v."""
         avoid = object.__new__(cls)
-        object.__setattr__(avoid, "root", root)
-        object.__setattr__(avoid, "_graph", g)
-        object.__setattr__(avoid, "_arc", arc)
+        vars(avoid).update(root=root, _graph=g, _arc=arc)
         return avoid
 
     @cached_property

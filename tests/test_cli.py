@@ -356,6 +356,21 @@ def test_domain_error_exit_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--alphabet", "01", "--forbid", "11", "--span", "6"], 0),
+    (["graph", "--alphabet", "01", "--forbid", "01", "--forbid", "10", "--span", "2"], 1),
+    (["words", "--alphabet", "01", "--forbid", "2", "--span", "3"], 2),
+], ids=["ok", "domain-error", "usage-error"])
+def test_console_script_entry_exits_with_mains_code(monkeypatch, capsys, argv, code):
+    # The installed `debruijn-sft` script calls cli.entry(), which reads sys.argv.
+    assert main(argv) == code
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["debruijn-sft", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == code and capsys.readouterr() == want
+
+
 def test_oracle_too_large_exit_1(capsys):
     code, _, err = run(capsys, "oracle", "--alphabet", "01", "--span", "4")
     assert code == 1

@@ -153,6 +153,9 @@ def test_arc_word_bijection():
     assert loop.tail == loop.head == a.word("00000")
     for arc in g.arcs:
         assert word_to_arc(g, arc_to_word(g, arc)) == arc
+        # An arc given with list ends names the same arc, and gets the graph's word.
+        listed = Arc(list(arc.tail), arc.label, list(arc.head))
+        assert listed in g and arc_to_word(g, listed) == arc_to_word(g, arc)
     from debruijn_sft import enumerate_words
 
     for w in enumerate_words(GOLDEN, 6):

@@ -366,9 +366,13 @@ def test_verifiers_match_tuple_references_with_violations():
                 ("floor", verify_floor_paths(t), oracle_floor_paths(t)),
             ]
             pairs += [
-                ("blocks", check_cycle_label_blocks(t, c), oracle_cycle_label_blocks(t, c))
+                ("blocks", check_cycle_label_blocks(t, form), oracle_cycle_label_blocks(t, c))
                 for c in t.cycles
+                for form in (c, list(c), [list(v) for v in c])   # lists name the same cycle
             ]
+            for other in [c[1:] + c[:1] for c in t.cycles if len(c) > 1] + [(), [[9]], 5, None]:
+                with pytest.raises(ValueError, match="^not a cycle of this analysis$"):
+                    check_cycle_label_blocks(t, other)
             decision = Decision(
                 answer=t.is_tree, via_tree=t.is_tree, via_obstructions=not obstructions,
                 cycles=t.cycles, obstructions=obstructions, analysis=t,

@@ -177,7 +177,13 @@ def test_walks_are_immutable_values():
         assert repr(walk) == f"Walk(start={walk.start!r}, steps={walk.steps!r})"
         with pytest.raises(AttributeError):
             walk.start = (0, 0, 0, 0)
+        # Each value is made once: a second read gives the same object.
+        for name in ("steps", "label", "end"):
+            assert getattr(walk, name) is getattr(walk, name), name
     assert walks[0] != walks[2] and walks[0] != (walks[0].start, walks[0].steps)
+    # Steps given as plain (tail, label, head) tuples make the same walk.
+    plain = Walk(walks[1].start, [tuple(a) for a in walks[1].steps])
+    assert plain == walks[1] and (plain.label, plain.end) == (walks[1].label, walks[1].end)
 
 
 def test_hand_made_walk_is_eulerian_only_when_it_chains_through_the_graph():
