@@ -105,26 +105,53 @@ def _determinant_bound(rows: list[dict[int, int]]) -> int:
     return diagonal
 
 
-def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
+def _is_odd(order: list[int]) -> bool:
+    """Whether the permutation k -> order[k] is odd: whether its size
+    less its number of cycles is."""
+    seen = bytearray(len(order))
+    cycles = 0
+    for start in range(len(order)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = 1
+                i = order[i]
+    return (len(order) - cycles) % 2 == 1
+
+
+def integer_determinant(
+    matrix: list[list[int]] | list[dict[int, int]], *, _bound: int | None = None,
+) -> int:
     """Determinant over the integers by sparse elimination modulo M.
 
     Rows are lists or {column: value} dicts. M is a product of primes
-    above twice a bound on |det| (`_determinant_bound`), so the residue
-    read in (-M/2, M/2] is the determinant itself, bit-exact for
-    arbitrarily large entries. Columns are eliminated in order; an index
-    from each column to the rows holding an entry there finds the pivot,
-    the sparsest such row, and the rows it must update. Updates are
-    stored unreduced. A column's entries are reduced mod M when it comes
-    up, and those that vanish are dropped; the pivot row is reduced once,
-    when it is scaled. Rows stay in place, so the sign comes from the
-    pivot permutation. A pivot that shares a factor
-    with M (a chance of about one in 2**61 per prime and step) retires
-    those primes and restarts the elimination. A list row of the wrong
-    length, or a dict key outside range(size), raises ValueError.
+    above twice a bound on |det|, so the residue read in (-M/2, M/2] is
+    the determinant itself, bit-exact for arbitrarily large entries. The
+    bound is `_determinant_bound` of the rows, after `_sparse_rows` has
+    checked them. `count_converging_spanning_trees` instead passes its own
+    dict rows with `_bound`, the product of their diagonal, which it takes
+    while building them; that is what `_determinant_bound` returns for
+    every reduced Laplacian, and both steps are skipped.
+
+    Columns are eliminated in order; an index from each column to the
+    rows holding an entry there finds the pivot and the rows it must
+    update. Updates are stored unreduced. One pass over a column reduces
+    its entries mod M, drops those that vanish, and picks the sparsest
+    remaining row as pivot; the pivot row is reduced once, when it is
+    scaled, and only if another row holds the column. Rows stay in place:
+    the sign is the parity of the pivot order, found once at the end. A
+    pivot that shares a factor with M (a chance of about one in 2**61 per
+    prime and step) retires those primes and restarts the elimination
+    from the given rows. A list row of the wrong length, or a dict key
+    outside range(size), raises ValueError.
     """
     size = len(matrix)
-    sparse = _sparse_rows(matrix)
-    bound = 2 * _determinant_bound(sparse)
+    if _bound is None:
+        sparse = _sparse_rows(matrix)
+        bound = 2 * _determinant_bound(sparse)
+    else:
+        sparse, bound = matrix, 2 * _bound
     if not bound:
         return 0
     retired: set[int] = set()
@@ -137,47 +164,44 @@ def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
                 modulus *= p
                 if modulus > bound:
                     break
+        least = min(primes)   # a pivot below it shares no factor with M
         rows = [dict(row) for row in sparse]
         # holders[j]: the rows not yet used as pivots with an entry in column j.
         holders: list[set[int]] = [set() for _ in range(size)]
         for i, row in enumerate(rows):
             for j in row:
                 holders[j].add(i)
-        # at[k] is the row in place k of the permuted order, where[i] the
-        # place of row i; pivot k goes to place k.
-        at = list(range(size))
-        where = list(range(size))
+        order = []   # order[k]: the pivot row of column k
         det = 1
         for k, column in enumerate(holders):
+            pick, fewest = -1, size + 1
             for i in list(column):
                 row = rows[i]
                 x = row[k] % modulus
                 if x:
                     row[k] = x
+                    # The sparsest row makes the least fill-in as pivot.
+                    if len(row) < fewest:
+                        pick, fewest = i, len(row)
                 else:
                     del row[k]
                     column.discard(i)
-            if not column:
+            if pick < 0:
                 return 0
-            # The sparsest row makes the least fill-in as pivot.
-            pick = min(column, key=lambda i: len(rows[i]))
             pivot_row = rows[pick]
             pivot = pivot_row.pop(k)
-            if gcd(pivot, modulus) != 1:
+            if pivot >= least and gcd(pivot, modulus) != 1:
                 retired.update(p for p in primes if pivot % p == 0)
                 break
-            place = where[pick]
-            if place != k:
-                other = at[k]
-                at[k], at[place] = pick, other
-                where[pick], where[other] = k, place
-                det = -det
+            order.append(pick)
             det = det * pivot % modulus
             rows[pick] = {}   # a used pivot row is never read again
             column.discard(pick)
             for j in pivot_row:
                 holders[j].discard(pick)
-            inverse = pow(pivot, -1, modulus)
+            if not column:   # no other row to update
+                continue
+            inverse = 1 if pivot == 1 else pow(pivot, -1, modulus)
             scaled = [(j, s) for j, v in pivot_row.items() if (s := v * inverse % modulus)]
             for i in column:
                 row = rows[i]
@@ -191,6 +215,8 @@ def integer_determinant(matrix: list[list[int]] | list[dict[int, int]]) -> int:
                         row[j] = x - f * v
             column.clear()
         else:
+            if _is_odd(order):
+                det = modulus - det
             return det - modulus if det > modulus // 2 else det
 
 
@@ -201,12 +227,15 @@ def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
     on the diagonal, the root's row and column removed), built from the
     graph's id tables as sparse rows in vertex order. Self-loops lie in no
     spanning tree and are left out; parallel arcs count with multiplicity.
+    The product of the diagonal, taken as the rows are built, is the
+    bound the determinant needs: the matrix is an M-matrix.
     """
     r = g.id_of(root)
     if r is None:
         raise ValueError(f"vertex {root} is not in the graph")
     heads, first = g.heads, g.first
     rows = []
+    diagonal = 1
     for v in range(len(g.ranks)):
         if v == r:
             continue
@@ -218,8 +247,9 @@ def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
                 if h != r:
                     j = h - (h > r)   # rows and columns skip the root
                     row[j] = row.get(j, 0) - 1
+        diagonal *= row[i]
         rows.append(row)
-    return integer_determinant(rows)
+    return integer_determinant(rows, _bound=diagonal)
 
 
 def out_degree_factorials(g: DeBruijnGraph) -> int:

@@ -107,10 +107,13 @@ class DeBruijnGraph(_Frozen):
         return next((i for i in range(self.first[v], self.first[v + 1]) if self.labels[i] == label), -1)
 
     def _id_of_arc(self, arc: Arc) -> int:
-        """The id of `arc`, its head checked too, or -1 when it is no arc of the graph."""
-        v = self.id_of(arc.tail)
-        i = -1 if v is None else self._arc_id(v, arc.label)
-        return i if i >= 0 and self.heads[i] == self.id_of(arc.head) else -1
+        """The id of `arc`, its head checked too, or -1 when it is no arc of
+        the graph. The fields are read by position, so a plain (tail,
+        label, head) tuple names the same arc as an `Arc`."""
+        tail, label, head = arc
+        v = self.id_of(tail)
+        i = -1 if v is None else self._arc_id(v, label)
+        return i if i >= 0 and self.heads[i] == self.id_of(head) else -1
 
     def __contains__(self, arc: Arc) -> bool:
         return self._id_of_arc(arc) >= 0
@@ -282,7 +285,7 @@ def arc_to_word(g: DeBruijnGraph, arc: Arc) -> Word:
     i = g._id_of_arc(arc)
     if i < 0:
         raise ValueError(f"arc {arc} does not belong to this graph")
-    return g.word_of(g.id_of(arc.tail)) + (g.labels[i],)
+    return g.word_of(g.id_of(arc[0])) + (g.labels[i],)
 
 
 def word_to_arc(g: DeBruijnGraph, w: Word) -> Arc:

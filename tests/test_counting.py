@@ -84,12 +84,31 @@ def test_integer_determinant_keeps_the_hadamard_bound_off_m_matrices():
     assert integer_determinant([[1, -2 ** 40], [-2 ** 40, 1]]) == 1 - 2 ** 80
 
 
-def test_determinant_bound_of_a_reduced_laplacian_is_its_diagonal():
-    for spec in ALL_INSTANCES + random_instances(60):
-        rows = [{j: a for j, a in enumerate(row) if a} for row in graph_laplacian(graph_of(spec))]
+def test_determinant_bound_of_a_reduced_laplacian_is_its_diagonal(monkeypatch):
+    # The count path skips the row checks and the bound, and passes the
+    # product of the diagonal instead: the bound they would find.
+    passed = []
+    determinant = counting.integer_determinant
+
+    def recording(rows, **kwargs):
+        passed.append((rows, kwargs["_bound"]))
+        return determinant(rows, **kwargs)
+
+    monkeypatch.setattr(counting, "integer_determinant", recording)
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES + random_instances(60)]
+    for g in graphs + random_hand_built_graphs(100, seed=23):
+        rows = [{j: a for j, a in enumerate(row) if a} for row in graph_laplacian(g)]
         diagonal = prod(row.get(i, 0) for i, row in enumerate(rows))
         hadamard = isqrt(prod(sum(a * a for a in row.values()) for row in rows))
-        assert counting._determinant_bound(rows) == diagonal <= hadamard, spec
+        assert counting._determinant_bound(rows) == diagonal <= hadamard, g.arcs
+        for root in (g.max_vertex,) + g.vertices[:3]:
+            passed.clear()
+            trees = count_converging_spanning_trees(g, root)
+            [(built, bound)] = passed
+            assert bound == counting._determinant_bound(counting._sparse_rows(built)), (g.arcs, root)
+            assert trees == determinant(built), (g.arcs, root)
+            if root == g.max_vertex:
+                assert bound == diagonal, g.arcs
 
 
 def test_integer_determinant_on_diagonally_dominant_z_matrices():
@@ -164,6 +183,20 @@ def test_integer_determinant_retries_when_a_pivot_shares_a_prime(monkeypatch):
     for m in matrices:
         assert integer_determinant(m) == oracle_determinant(m), m
     assert len(attempts) > len(matrices)
+    # The count path hands over its own rows and bound; a restart must
+    # begin from its rows as they were built, not from half-eliminated ones.
+    attempts.clear()
+    roots = 0
+    graphs = [graph_of(spec) for spec in IRREDUCIBLE_INSTANCES[:12] + random_instances(30)]
+    for g in graphs:
+        if len(g.vertices) > 100:   # past the Bareiss oracle's reach
+            continue
+        for root in g.vertices[:3]:
+            roots += 1
+            others = [v for v in g.vertices if v != root]
+            expected = oracle_determinant(reduced_laplacian(g, others))
+            assert count_converging_spanning_trees(g, root) == expected, (g.arcs, root)
+    assert len(attempts) > roots
 
 
 def test_tree_count_trivial_graphs():

@@ -201,6 +201,23 @@ def test_hand_made_walk_is_eulerian_only_when_it_chains_through_the_graph():
     assert Walk(own.start, own.steps).is_eulerian(g)
 
 
+def test_plain_tuple_arcs_read_like_arcs():
+    # Golden mean span 4: membership, the arc's word and a hand-made
+    # circuit give plain (tail, label, head) tuples the answers Arcs get.
+    g = graph_of(("01", ("11",), 4))
+    for arc in g.arcs:
+        plain = tuple(arc)
+        assert type(plain) is tuple
+        assert plain in g
+        assert arc_to_word(g, plain) == arc_to_word(g, arc)
+        looped = (arc.tail, arc.label, arc.tail)   # in g only when arc is a loop
+        assert (looped in g) == (Arc(*looped) in g) == (arc.head == arc.tail)
+    circuit = eulerian_cycle(g, g.max_vertex)
+    plain_steps = [tuple(a) for a in circuit.steps]
+    assert Walk(circuit.start, plain_steps).is_eulerian(g)
+    assert not Walk(circuit.start, plain_steps[1:] + plain_steps[:1]).is_eulerian(g)
+
+
 def forbid_tuple_views(monkeypatch):
     """Make any read of a graph's tuple views, or of a walk's Arcs, fail."""
     def built(self):
