@@ -151,16 +151,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     g = _graph(args)
     cycles = count_eulerian_cycles(g, g.max_vertex)
-    if args.json:
-        # Each converging spanning tree yields out_degree_factorials circuits.
-        trees = cycles // out_degree_factorials(g)
-        _print_json({
-            "root": g.alphabet.text(g.max_vertex),
-            "spanningTrees": str(trees),
-            "eulerianCycles": str(cycles),
-        })
-    else:
-        print(cycles)
+    # A count can pass CPython's limit on int-to-str conversion (4,300
+    # digits by default, from 3.10.7): lift it for these conversions only,
+    # so a caller in the same process keeps its own setting.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            # Each converging spanning tree yields out_degree_factorials circuits.
+            trees = cycles // out_degree_factorials(g)
+            text = _json_text({
+                "root": g.alphabet.text(g.max_vertex),
+                "spanningTrees": str(trees),
+                "eulerianCycles": str(cycles),
+            })
+        else:
+            text = str(cycles)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text)
     return 0
 
 

@@ -3,7 +3,11 @@
 The circuit count factors as (number of spanning trees converging to a
 root) times the product over vertices of (out-degree - 1) factorial; the
 tree count is the determinant of the out-degree Laplacian with the root
-row and column removed. The determinant is one sparse elimination modulo
+row and column removed. Before the determinant is taken, twins (non-root
+vertices with the same multiset of heads) are merged, round after round,
+and each merge of a twin of out-degree d takes an exact factor d out of
+the determinant: the full binary graph of span n keeps n of its 2**n - 1
+rows. The determinant of what is left is one sparse elimination modulo
 a product of 61-bit primes large enough to pin the integer down: the
 product of the diagonal for an M-matrix such as a Laplacian, the
 Hadamard bound for any other matrix. Updates are stored unreduced, and
@@ -220,36 +224,77 @@ def integer_determinant(
             return det - modulus if det > modulus // 2 else det
 
 
+def _twin_quotient(
+    heads: list[int], first: list[int], r: int,
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Merge twins until none are left: the quotient's vertices, and the
+    factor the merges take out of the tree count.
+
+    Twins are non-root vertices with the same multiset of heads. Each
+    group of twins keeps its first member, and the arcs into the others
+    go to it; merging a twin of out-degree d (self-loops included) takes
+    a factor d out of the determinant, so a group of t twins gives
+    d**(t - 1). Merges can make new twins, so rounds repeat until one
+    finds none. The first round keys each vertex on its slice of `heads`
+    as it stands (ascending ids in a span-n graph), so a graph without
+    twins costs one pass; later rounds key on the sorted classes of the
+    heads. Returns {head classes: survivor}, survivors ascending.
+    """
+    size = len(first) - 1
+    to = list(range(size))   # to[v]: the survivor v merged into, or v
+    keyed = [(tuple(heads[first[v] : first[v + 1]]), v) for v in range(size) if v != r]
+    factor = 1
+    while True:
+        classes: dict[tuple[int, ...], int] = {}
+        for key, v in keyed:
+            u = classes.setdefault(key, v)
+            if u != v:
+                to[v] = u
+                factor *= len(key)
+        if len(classes) == len(keyed):
+            return classes, factor
+        survivor = to.__getitem__
+        keyed = [(tuple(sorted(map(survivor, key))), u) for key, u in classes.items()]
+
+
 def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
     """Number of spanning trees in which every vertex can reach the root.
 
     The count is the determinant of the reduced Laplacian (out-degrees
-    on the diagonal, the root's row and column removed), built from the
-    graph's id tables as sparse rows in vertex order. Self-loops lie in no
-    spanning tree and are left out; parallel arcs count with multiplicity.
-    The product of the diagonal, taken as the rows are built, is the
-    bound the determinant needs: the matrix is an M-matrix.
+    on the diagonal, the root's row and column removed), taken on the
+    graph's twin quotient. Twins, two non-root vertices u and w with the
+    same multiset of heads, have rows that differ only on the diagonal:
+    with d their out-degree, row w less row u is d(e_w - e_u), and adding
+    column w to column u then leaves row w equal to d e_w. So the
+    determinant is d times that of the Laplacian of the graph with w
+    merged into u, which `_twin_quotient` repeats while twins remain; the
+    root never merges. The quotient's rows are sparse, in vertex order;
+    self-loops lie in no spanning tree and are left out, and parallel
+    arcs count with multiplicity. The quotient is again a Laplacian, so
+    an M-matrix, and the product of its diagonal, taken as the rows are
+    built, is the bound the determinant needs. The count is the merges'
+    factor times that one determinant.
     """
     r = g.id_of(root)
     if r is None:
         raise ValueError(f"vertex {root} is not in the graph")
-    heads, first = g.heads, g.first
+    classes, factor = _twin_quotient(g.heads, g.first, r)
+    column = [-1] * len(g.ranks)   # column[v]: v's row and column, -1 at the root
+    for i, v in enumerate(classes.values()):
+        column[v] = i
     rows = []
     diagonal = 1
-    for v in range(len(g.ranks)):
-        if v == r:
-            continue
-        i = len(rows)
+    for i, key in enumerate(classes):
         row = {i: 0}
-        for h in heads[first[v] : first[v + 1]]:
-            if h != v:
+        for h in key:
+            j = column[h]
+            if j != i:
                 row[i] += 1
-                if h != r:
-                    j = h - (h > r)   # rows and columns skip the root
+                if j >= 0:
                     row[j] = row.get(j, 0) - 1
         diagonal *= row[i]
         rows.append(row)
-    return integer_determinant(rows, _bound=diagonal)
+    return factor * integer_determinant(rows, _bound=diagonal)
 
 
 def out_degree_factorials(g: DeBruijnGraph) -> int:

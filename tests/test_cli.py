@@ -281,6 +281,32 @@ def test_count_golden_mean_span_12(capsys):
     assert (code, out) == (0, "172689621523970700914229906330739461111808\n")
 
 
+def test_count_prints_past_the_int_digit_limit(capsys):
+    # 2^(2^14 - 15) has 4,928 digits, past CPython's default limit of 4,300
+    # on converting an int to text; the count lifts it only to print, and
+    # the caller's setting comes back.
+    expected = 2 ** (2 ** 14 - 15)
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "count", "--alphabet", "01", "--span", "14")
+        json_code, json_out, json_err = run(capsys, "count", "--alphabet", "01", "--span", "14",
+                                            "--json")
+        if limited:
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+        assert (code, err) == (json_code, json_err) == (0, "")
+        assert out == f"{expected}\n"
+        assert json.loads(json_out) == {
+            "root": "1" * 14, "spanningTrees": str(expected), "eulerianCycles": str(expected),
+        }
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(before)
+
+
 def test_short_span_warning_is_one_line(capsys):
     code, out, err = run(capsys, "graph", "--alphabet", "01", "--forbid", "011", "--span", "1")
     assert (code, out) == (0, "span 1\nalphabet 01\nvertices 2\narcs 4\nmax-vertex 1\n")

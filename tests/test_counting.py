@@ -86,7 +86,8 @@ def test_integer_determinant_keeps_the_hadamard_bound_off_m_matrices():
 
 def test_determinant_bound_of_a_reduced_laplacian_is_its_diagonal(monkeypatch):
     # The count path skips the row checks and the bound, and passes the
-    # product of the diagonal instead: the bound they would find.
+    # product of its quotient's diagonal instead: the bound they would
+    # find, and never above the uncontracted Laplacian's diagonal.
     passed = []
     determinant = counting.integer_determinant
 
@@ -102,13 +103,13 @@ def test_determinant_bound_of_a_reduced_laplacian_is_its_diagonal(monkeypatch):
         hadamard = isqrt(prod(sum(a * a for a in row.values()) for row in rows))
         assert counting._determinant_bound(rows) == diagonal <= hadamard, g.arcs
         for root in (g.max_vertex,) + g.vertices[:3]:
+            full = reduced_laplacian(g, [v for v in g.vertices if v != root])
             passed.clear()
             trees = count_converging_spanning_trees(g, root)
             [(built, bound)] = passed
             assert bound == counting._determinant_bound(counting._sparse_rows(built)), (g.arcs, root)
-            assert trees == determinant(built), (g.arcs, root)
-            if root == g.max_vertex:
-                assert bound == diagonal, g.arcs
+            assert bound <= prod(row[i] for i, row in enumerate(full)), (g.arcs, root)
+            assert trees == determinant(full), (g.arcs, root)
 
 
 def test_integer_determinant_on_diagonally_dominant_z_matrices():
@@ -256,6 +257,146 @@ def test_tree_count_on_forced_chains_and_cycles():
         assert count_converging_spanning_trees(g, root) == oracle_converging_trees(g, root)
 
 
+def hand_built(alphabet, arcs):
+    """A graph from (tail, label, head) triples written as text."""
+    letters = Alphabet.from_text(alphabet)
+    return graph_from_arcs(len(arcs[0][0]), letters, [
+        Arc(letters.word(tail), letters.word(label)[0], letters.word(head))
+        for tail, label, head in arcs])
+
+
+def record_orders(monkeypatch):
+    """Patch the determinant; the returned list gets the order of each
+    matrix the count path hands it."""
+    orders = []
+    determinant = counting.integer_determinant
+
+    def recording(rows, **kwargs):
+        orders.append(len(rows))
+        return determinant(rows, **kwargs)
+
+    monkeypatch.setattr(counting, "integer_determinant", recording)
+    return orders
+
+
+def assert_counts_at_every_root(g):
+    for root in g.vertices:
+        others = [v for v in g.vertices if v != root]
+        trees = count_converging_spanning_trees(g, root)
+        assert trees == oracle_determinant(reduced_laplacian(g, others)), (g.arcs, root)
+        assert trees % MERSENNE_61 == modular_tree_count(g, root), (g.arcs, root)
+        if prod(len(g.out_arcs(v)) for v in others) <= 4096:
+            assert trees == oracle_converging_trees(g, root), (g.arcs, root)
+
+
+# (tail, label, head) triples. Heads need not be shifts, and a tail's
+# labels only tell its arcs apart, so two arcs may join the same vertices.
+TWIN_GRAPHS = {
+    # a and b each have two parallel arcs into 111: twins. Merging b into
+    # a makes c and d twins, and merging d into c makes e and f twins.
+    "cascade": ("01", [
+        ("000", "0", "111"), ("000", "1", "111"), ("001", "0", "111"), ("001", "1", "111"),
+        ("010", "0", "000"), ("010", "1", "000"), ("011", "0", "001"), ("011", "1", "001"),
+        ("100", "0", "010"), ("100", "1", "010"), ("101", "0", "011"), ("101", "1", "011"),
+        ("111", "0", "100"), ("111", "1", "101"),
+    ]),
+    # 0 and 1 are twins with heads {1, 2}; 1's arc into 1 is a self-loop,
+    # and 0's arc into 1 becomes one when they merge.
+    "twins entering each other": ("012", [
+        ("0", "0", "1"), ("0", "1", "2"), ("1", "0", "1"), ("1", "1", "2"), ("2", "0", "0"),
+    ]),
+    # 0 and 1 enter only each other and themselves: no tree reaches 2.
+    "closed twins": ("012", [
+        ("0", "0", "0"), ("0", "1", "1"), ("1", "0", "0"), ("1", "1", "1"), ("2", "0", "0"),
+    ]),
+    # 2 has the heads of 0, so it is a twin of the root 0, which never
+    # merges; at the root 1, 0 and 2 merge.
+    "twin of the root": ("012", [
+        ("0", "0", "1"), ("0", "1", "2"), ("1", "0", "0"), ("2", "0", "1"), ("2", "1", "2"),
+    ]),
+    # 1 and 2 have no out-arcs: twins of out-degree 0.
+    "dead twins": ("012", [("0", "0", "1"), ("0", "1", "2")]),
+    # Three twins with parallel arcs and a loop, heads {0, 0, 3}, and a
+    # fourth vertex whose heads are the same multiset listed in another order.
+    "three twins": ("0123", [
+        ("0", "0", "3"), ("0", "1", "0"), ("0", "2", "0"),
+        ("1", "0", "0"), ("1", "1", "0"), ("1", "2", "3"),
+        ("2", "0", "0"), ("2", "1", "0"), ("2", "2", "3"),
+        ("3", "0", "0"), ("3", "1", "1"), ("3", "2", "2"), ("3", "3", "3"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", TWIN_GRAPHS)
+def test_tree_count_on_twin_quotients_at_every_root(monkeypatch, name):
+    g = hand_built(*TWIN_GRAPHS[name])
+    orders = record_orders(monkeypatch)
+    assert_counts_at_every_root(g)
+    # One determinant per count, whatever the quotient and its factor.
+    assert len(orders) == len(g.vertices)
+
+
+def test_twin_quotient_values():
+    cascade = hand_built(*TWIN_GRAPHS["cascade"])
+    # Every vertex but the root has two arcs, each on a path to it.
+    assert count_converging_spanning_trees(cascade, (1, 1, 1)) == 2 ** 6
+    assert count_converging_spanning_trees(hand_built(*TWIN_GRAPHS["twins entering each other"]), (2,)) == 2
+    assert count_converging_spanning_trees(hand_built(*TWIN_GRAPHS["closed twins"]), (2,)) == 0
+    twin_of_root = hand_built(*TWIN_GRAPHS["twin of the root"])
+    assert count_converging_spanning_trees(twin_of_root, (0,)) == 1
+    assert count_converging_spanning_trees(twin_of_root, (1,)) == 2
+    dead = hand_built(*TWIN_GRAPHS["dead twins"])
+    assert [count_converging_spanning_trees(dead, v) for v in dead.vertices] == [0, 0, 0]
+
+
+def test_twin_quotient_merges_over_several_rounds(monkeypatch):
+    orders = record_orders(monkeypatch)
+    g = hand_built(*TWIN_GRAPHS["cascade"])
+    count_converging_spanning_trees(g, (1, 1, 1))
+    # b, d and f merge into a, c and e, one pair per round.
+    assert orders == [3]
+    # 1 and 2 list the heads {0, 0, 3} in the order 0's loops and arc to 3
+    # do not: 2 merges into 1 first, and then 1 into 0.
+    orders.clear()
+    count_converging_spanning_trees(hand_built(*TWIN_GRAPHS["three twins"]), (3,))
+    assert orders == [1]
+    # A one-vertex graph leaves an empty quotient, and dead twins a factor
+    # of 0: each still takes one determinant.
+    orders.clear()
+    count_converging_spanning_trees(loops(), (0,))
+    dead = hand_built(*TWIN_GRAPHS["dead twins"])
+    count_converging_spanning_trees(dead, (0,))
+    assert orders == [0, 1]
+
+
+def test_tree_count_at_every_root_of_small_graphs():
+    graphs = [graph_of(spec) for spec in ALL_INSTANCES + random_instances(40)]
+    graphs += random_hand_built_graphs(150, seed=29)
+    for g in graphs:
+        if len(g.vertices) <= 40:
+            assert_counts_at_every_root(g)
+
+
+# The order of the one determinant each count takes at the maximal root:
+# a measure of work that does not drift with the host. Each is an upper
+# bound; the uncontracted orders are 2,047, 1,223, 107 and 2,583.
+DETERMINANT_ORDERS = [
+    (("01", (), 11), 11),
+    (("012", ("22",), 7), 39),
+    (("01", ("01111",), 7), 48),
+    (("01", ("11",), 16), 2206),
+]
+
+
+@pytest.mark.parametrize("spec, most", DETERMINANT_ORDERS, ids=lambda x: str(x))
+def test_determinant_order_of_a_count(monkeypatch, spec, most):
+    g = graph_of(spec)
+    orders = record_orders(monkeypatch)
+    count_converging_spanning_trees(g, g.max_vertex)
+    [order] = orders
+    assert order <= most, (spec, order)
+
+
 def test_tree_count_agrees_mod_p_with_a_separate_elimination_at_two_roots():
     # Independent of counting past the reach of the Bareiss oracle: a
     # GF(2**61 - 1) elimination at two roots against the exact count.
@@ -378,8 +519,8 @@ def test_total_enumeration_is_outdegree_times_best():
     assert len(result.walks) == best * len(g.out_arcs(g.max_vertex))
 
 
-@pytest.mark.parametrize("alphabet, span", [("01", n) for n in range(1, 11)]
-                         + [("012", n) for n in range(1, 7)])
+@pytest.mark.parametrize("alphabet, span", [("01", n) for n in range(1, 17)]
+                         + [("012", n) for n in range(1, 8)])
 def test_eulerian_count_full_language_closed_form(alphabet, span):
     # BEST: (k!)^(k^n) / k^(n+1) circuits through a fixed first arc,
     # far past the reach of the exhaustive oracle.

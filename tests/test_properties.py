@@ -5,7 +5,9 @@ compared with the brute-force oracles of `corpus`, the components of the
 raw span-n digraph with its dict-based Tarjan, and the whole graph with
 the tuple-based build of `corpus.oracle_build_graph`; the greedy-walk decision
 is compared with the greedy walk itself at spans past the oracles' reach;
-the CLI is fed random flags and must answer every one with exit 0, 1 or 2.
+the tree count on hand-built graphs full of twins with the Bareiss
+determinant of the uncontracted Laplacian at every root; the CLI is fed
+random flags and must answer every one with exit 0, 1 or 2.
 The module skips without hypothesis.
 """
 
@@ -17,19 +19,24 @@ import pytest
 
 from debruijn_sft import (
     AmbiguousComponentError,
+    Arc,
     EmptyGraphError,
     Language,
     build_graph,
     check_irreducible,
+    count_converging_spanning_trees,
     decide_minimal_is_eulerian,
     enumerate_words,
+    graph_from_arcs,
     minimal_walk,
 )
 from debruijn_sft.cli import main
 from debruijn_sft.graph import _span_digraph
+from debruijn_sft.language import Alphabet
 
 from corpus import (
-    oracle_build_graph, oracle_main_component, oracle_suffix_words, oracle_tarjan, oracle_words,
+    oracle_build_graph, oracle_determinant, oracle_main_component, oracle_suffix_words,
+    oracle_tarjan, oracle_words, reduced_laplacian,
 )
 
 pytest.importorskip("hypothesis")
@@ -180,6 +187,38 @@ def test_decision_matches_greedy_walk_coverage(instance):
     if isinstance(g, type):
         return
     assert decide_minimal_is_eulerian(g).answer == minimal_walk(g).is_eulerian(g)
+
+
+@st.composite
+def hand_built_graphs(draw):
+    """Graphs assembled arc by arc, as `corpus.random_hand_built_graphs`
+    makes them: spans 1-3, alphabets 01 or 012, 2-6 vertices, distinct
+    labels per tail and arbitrary heads. Each vertex takes its heads from
+    one of at most three lists, in some order, so twins are common, and
+    parallel arcs and self-loops come up too."""
+    alphabet = Alphabet.from_text(draw(st.sampled_from(["01", "012"])))
+    span = draw(st.integers(1, 3))
+    word = st.tuples(*[st.integers(0, alphabet.size - 1)] * span)
+    vertices = draw(st.lists(word, min_size=2, max_size=6, unique=True))
+    vertex = st.sampled_from(vertices)
+    heads = st.lists(vertex, max_size=alphabet.size)
+    lists = [draw(st.lists(vertex, min_size=1, max_size=alphabet.size))]
+    lists += draw(st.lists(heads, max_size=2))
+    shared = st.sampled_from(lists).flatmap(st.permutations)
+    # The first vertex takes the first list, so the graph has an arc.
+    arcs = [Arc(v, label, h)
+            for i, v in enumerate(vertices)
+            for label, h in enumerate(lists[0] if i == 0 else draw(shared))]
+    return graph_from_arcs(span, alphabet, arcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hand_built_graphs())
+def test_tree_count_on_the_twin_quotient_matches_the_full_laplacian(g):
+    for root in g.vertices:
+        others = [v for v in g.vertices if v != root]
+        expected = oracle_determinant(reduced_laplacian(g, others))
+        assert count_converging_spanning_trees(g, root) == expected, (g.arcs, root)
 
 
 COMMANDS = ("words", "graph", "seq", "minimal", "check", "count", "oracle", "verify")
