@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
-from operator import not_, sub
+from operator import floordiv, not_, sub
 from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
@@ -174,13 +174,14 @@ def _span_digraph(
     at its arc count, and that count. A word's n+1 rotations are a closed
     walk, so what a vertex reaches is its component: a search from each
     unseen id in turn meets the components in Tarjan completion order, and
-    the main one is the first with the most arcs.
+    the main one is the first with the most arcs. When the first search
+    reaches every vertex, that is the answer, and no arcs are summed.
     """
     ranks = enumerate_ranks(lang, n + 1)
     if not ranks:
         return None
     k = lang.alphabet.size
-    arc_counts = Counter([c // k for c in ranks])   # by tail, ascending
+    arc_counts = Counter(map(floordiv, ranks, repeat(k)))   # by tail, ascending
     order = list(arc_counts)
     ids = dict(zip(order, range(len(order))))
     size = k ** n
@@ -199,6 +200,8 @@ def _span_digraph(
                     if comp_of[w] < 0:
                         comp_of[w] = len(comp_arcs)
                         comp.append(w)
+            if len(comp) == len(order):   # one component holds every vertex
+                return order, first, heads, labels, [True] * len(order), 1, len(heads)
             comp_arcs.append(sum([first[v + 1] - first[v] for v in comp]))
     best = max(comp_arcs)
     keep = comp_arcs.index(best)

@@ -120,7 +120,7 @@ class MaxArcAnalysis(_Frozen):
 
     @cached_property
     def _avoid(self) -> AvoidSet:
-        return AvoidSet._of_ids(self.graph, self.root, self._arc)
+        return AvoidSet._of_ids(self.graph, self.root, self._arc, self)
 
     def avoid_set(self) -> AvoidSet:
         """The max arcs as an avoid set; the same one on every call."""
@@ -478,15 +478,23 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
     exhausted vertex above it, and a violation when it is exhausted later
     than the earliest of them, or never. Only for such a vertex is its
     path up walked again, to name the vertices it is late for. All of it
-    runs on the graph's ids; words are decoded for violations only.
+    runs on the graph's ids; words are decoded for violations only. The
+    avoid set an analysis makes is read through that analysis's max-arc
+    map and cycles, so they are not searched again; for any other set the
+    cycles of its reserved arcs are found here.
     """
     root, arc = _reserved_ids(g, avoid)
     never = len(g.heads) + 1   # later than any exhaustion time
     time = [t if t >= 0 else never for t in _exhaustion_times(g, _avoiding_ids(g, root, arc))]
-    heads = g.heads
-    succ = [heads[a] if a >= 0 else -1 for a in arc]
+    analysis = avoid._analysis if avoid._graph is g else None
+    if analysis is None:
+        heads = g.heads
+        succ = [heads[a] if a >= 0 else -1 for a in arc]
+        cycles = _functional_cycles(succ)
+    else:   # the max arcs, whose map and cycles the analysis has
+        succ, cycles = analysis._succ, analysis._cycles
     on_cycle = [False] * len(arc)
-    for cyc in _functional_cycles(succ):
+    for cyc in cycles:
         for v in cyc:
             on_cycle[v] = True
     parent = [
@@ -559,6 +567,16 @@ def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
     L (the word repeats with that period); the witness of a class is its
     least rank on such cycles, and only obstructed classes are expanded
     into their arc words.
+
+    Nodes come in ascending rank, so b is fixed on n runs of them, whose
+    ends take one search each. On the b = 1 run (tails whose first letter
+    is below m's) the next block end starts at the word's second letter,
+    so its tail is the head of the top arc: that head is the successor
+    when its own top arc is the rotated word, and no vertex is when it has
+    the tail's rank but another top arc. Only a head that is not the shift
+    (a hand-built graph) is searched for by rank, so the head can cost a
+    search but never change the answer. The other runs and the extra
+    nodes take one rank search per node.
     """
     k, n = g.alphabet.size, g.span
     ranks, first, labels = g.ranks, g.first, g.labels
@@ -588,18 +606,49 @@ def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
         extra = sorted(set(extra))
         ends += extra
     succ = [-1] * len(ends)
-    for i, c in enumerate(ends):
-        t = c // k
-        if 0 <= t < m:
-            b = bisect_right(floors, t)
-            d = c % low[b] * high[b] + c // low[b]
+
+    def extra_node(d: int) -> int:
+        """The extra node of word d, or -1."""
+        j = bisect_left(extra, d)
+        return vertices + j if j < len(extra) and extra[j] == d else -1
+
+    # Run b holds the tails from floors[b - 1] up to the next floor, or up
+    # to m: the vertices from cut[b - 1] to cut[b], and likewise the extra
+    # nodes. The vertices' b = 1 run goes by heads, below.
+    cut = [0, *[bisect_left(ranks, f) for f in floors[1:]], vertices - 1]
+    runs = [(b, range(cut[b - 1], cut[b])) for b in range(2, n + 1)]
+    if extra:
+        cut_extra = [bisect_left(extra, f * k) + vertices for f in [*floors, m]]
+        runs += [(b, range(cut_extra[b - 1], cut_extra[b])) for b in range(1, n + 1)]
+    heads = g.heads
+    for v in range(cut[1]):
+        c = ends[v]
+        if c < 0:
+            continue
+        d = c % size * k + c // size
+        h = heads[first[v + 1] - 1]
+        if ends[h] == d:
+            succ[v] = h
+            continue
+        if ranks[h] != d // k:
+            h = bisect_left(ranks, d // k)
+            if h < vertices and ends[h] == d:
+                succ[v] = h
+                continue
+        if extra:
+            succ[v] = extra_node(d)
+    for b, nodes in runs:
+        lo, hi = low[b], high[b]
+        for i in nodes:
+            c = ends[i]
+            if c < 0:
+                continue
+            d = c % lo * hi + c // lo
             v = bisect_left(ranks, d // k)
             if v < vertices and ends[v] == d:
                 succ[i] = v
             elif extra:
-                v = bisect_left(extra, d)
-                if v < len(extra) and extra[v] == d:
-                    succ[i] = vertices + v
+                succ[i] = extra_node(d)
     word = g.max_vertex
     classes = []   # (least rank of the class, rotations from its witness on, blocks)
     for cyc in _functional_cycles(succ):

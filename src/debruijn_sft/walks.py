@@ -101,18 +101,21 @@ class AvoidSet(_Frozen):
     the reserved arc, -1 at the root, and its `arc_by_vertex` is a view
     of those ids made once, when first read. The walkers and the
     exhaustion-order check read the ids directly, and turn a word-keyed
-    set into the same ids. Either way an avoid set cannot be changed, and
-    is equal only to itself.
+    set into the same ids. Such a set also holds the analysis that made
+    it, whose max-arc cycles are its cycles; a word-keyed one holds None.
+    Either way an avoid set cannot be changed, and is equal only to
+    itself.
     """
 
     def __init__(self, root: Word, arc_by_vertex: Mapping[Word, Arc]) -> None:
-        vars(self).update(root=root, arc_by_vertex=arc_by_vertex, _graph=None)
+        vars(self).update(root=root, arc_by_vertex=arc_by_vertex, _graph=None, _analysis=None)
 
     @classmethod
-    def _of_ids(cls, g: DeBruijnGraph, root: Word, arc: list[int]) -> AvoidSet:
-        """The avoid set of g reserving arc id arc[v] at each vertex id v."""
+    def _of_ids(cls, g: DeBruijnGraph, root: Word, arc: list[int], analysis: object) -> AvoidSet:
+        """The avoid set of g reserving arc id arc[v] at each vertex id v,
+        made by `analysis`."""
         avoid = object.__new__(cls)
-        vars(avoid).update(root=root, _graph=g, _arc=arc)
+        vars(avoid).update(root=root, _graph=g, _arc=arc, _analysis=analysis)
         return avoid
 
     @cached_property
