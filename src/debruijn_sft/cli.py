@@ -255,20 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_seq)
 
-    p = sub.add_parser("minimal", help="run the greedy minimal walk from the maximal vertex")
-    _add_language_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_minimal)
-
-    p = sub.add_parser("check", help="decide whether the greedy walk yields a full sequence")
-    _add_language_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("count", help="exact Eulerian-circuit count")
-    _add_language_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_count)
+    for name, func, text in (
+        ("minimal", _cmd_minimal, "run the greedy minimal walk from the maximal vertex"),
+        ("check", _cmd_check, "decide whether the greedy walk yields a full sequence"),
+        ("count", _cmd_count, "exact Eulerian-circuit count"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_language_flags(p)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("oracle", help="exhaustive certification (size-guarded)")
     _add_language_flags(p)

@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
-from operator import floordiv, not_, sub
+from operator import not_, sub
 from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
@@ -108,9 +108,9 @@ class DeBruijnGraph(_Frozen):
 
     def _id_of_arc(self, arc: Arc) -> int:
         """The id of `arc`, its head checked too, or -1 when it is no arc of
-        the graph. The fields are read by position, so a plain (tail,
-        label, head) tuple names the same arc as an `Arc`."""
-        tail, label, head = arc
+        the graph or no 3-sequence. The fields are read by position, so a
+        plain (tail, label, head) tuple names the same arc as an `Arc`."""
+        tail, label, head = arc if isinstance(arc, Sequence) and len(arc) == 3 else (None,) * 3
         v = self.id_of(tail)
         i = -1 if v is None else self._arc_id(v, label)
         return i if i >= 0 and self.heads[i] == self.id_of(head) else -1
@@ -166,29 +166,34 @@ def _span_digraph(
     None when there are no words of length n+1.
 
     Word rank c is the arc from vertex c // k to vertex c % k**n, labeled
-    c % k. Tails come ascending and every head is a tail too (rotating a
-    circular word gives another), so the tails alone number the vertices
-    and each vertex's arcs are one run of ranks. Returns the vertex ranks,
-    the tables `first`, `heads` and `labels` of `DeBruijnGraph`, whether
-    each vertex lies in the main component, the number of components tied
-    at its arc count, and that count. A word's n+1 rotations are a closed
-    walk, so what a vertex reaches is its component: a search from each
-    unseen id in turn meets the components in Tarjan completion order, and
-    the main one is the first with the most arcs. When the first search
-    reaches every vertex, that is the answer, and no arcs are summed.
+    c % k. Tails come ascending and, by rotation, every head is a tail too,
+    so the tails alone number the vertices, and the heads as well: the
+    heads u of the words a + u, one run of ranks, are in order the tails of
+    the arcs u + a labeled a. Returns the vertex ranks, the tables `first`,
+    `heads` and `labels` of `DeBruijnGraph`, whether each vertex lies in
+    the main component, the number of components tied at its arc count, and
+    that count. A word's n+1 rotations are a closed walk, so what a vertex
+    reaches is its component: a search from each unseen id in turn meets
+    the components in Tarjan completion order, and the main one is the
+    first with the most arcs. When the first search reaches every vertex,
+    that is the answer, and no arcs are summed.
     """
     ranks = enumerate_ranks(lang, n + 1)
     if not ranks:
         return None
     k = lang.alphabet.size
-    arc_counts = Counter(map(floordiv, ranks, repeat(k)))   # by tail, ascending
-    order = list(arc_counts)
-    ids = dict(zip(order, range(len(order))))
-    size = k ** n
-    heads = [ids[c % size] for c in ranks]
     labels = [c % k for c in ranks]
-    del ranks, ids   # freed before the components are found
-    first = [0, *accumulate(arc_counts.values())]
+    order, first, by_label = [], [], [[] for _ in range(k)]
+    tail = v = -1
+    for i, c in enumerate(ranks):
+        if (t := c // k) != tail:
+            tail, v = t, len(order)
+            order.append(t)
+            first.append(i)
+        by_label[c % k].append(v)
+    first.append(len(ranks))
+    del ranks   # freed before the heads are joined
+    heads = list(chain.from_iterable(by_label))
     comp_of = [-1] * len(order)
     comp_arcs = []   # arc count per component, in the order met
     for root in range(len(order)):

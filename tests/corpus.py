@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
+from collections import Counter
 from typing import Mapping
 
 from debruijn_sft import (
@@ -249,6 +250,24 @@ def oracle_enumerate_ranks(lang: Language, n: int) -> list[int]:
                 out += ranks
     out.sort()
     return out
+
+
+def oracle_span_tables(lang: Language, n: int) -> tuple[list[int], ...] | None:
+    """The vertex ranks and the tables `first`, `heads` and `labels` of the
+    raw span-n digraph, or None when there are no words of length n+1.
+    The ranks come from `oracle_enumerate_ranks`; a `Counter` of tails
+    numbers the vertices and gives their out-degrees, and each head,
+    c % k**n, is looked up in a dict from vertex rank to id."""
+    ranks = oracle_enumerate_ranks(lang, n + 1)
+    if not ranks:
+        return None
+    k = lang.alphabet.size
+    degree = Counter(c // k for c in ranks)   # by tail, ascending
+    order = list(degree)
+    ids = dict(zip(order, range(len(order))))
+    heads = [ids[c % k ** n] for c in ranks]
+    labels = [c % k for c in ranks]
+    return order, [0, *itertools.accumulate(degree.values())], heads, labels
 
 
 def oracle_main_component(words: list[Word], n: int) -> set[Word]:

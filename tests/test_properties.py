@@ -2,12 +2,14 @@
 
 Enumeration, the main-component choice and the irreducibility check are
 compared with the brute-force oracles of `corpus`, the components of the
-raw span-n digraph with its dict-based Tarjan, and the whole graph with
-the tuple-based build of `corpus.oracle_build_graph`; the greedy-walk decision
-is compared with the greedy walk itself at spans past the oracles' reach;
-the tree count on hand-built graphs full of twins with the Bareiss
-determinant of the uncontracted Laplacian at every root; the CLI is fed
-random flags and must answer every one with exit 0, 1 or 2.
+raw span-n digraph with its dict-based Tarjan, its id tables with the
+rank -> id numbering of `corpus.oracle_span_tables`, and the whole graph
+with the tuple-based build of `corpus.oracle_build_graph`; the
+greedy-walk decision is compared with the greedy walk itself at spans
+past the oracles' reach; the tree count on hand-built graphs full of
+twins with the Bareiss determinant of the uncontracted Laplacian at
+every root; the CLI is fed random flags and must answer every one with
+exit 0, 1 or 2.
 The module skips without hypothesis.
 """
 
@@ -32,11 +34,11 @@ from debruijn_sft import (
 )
 from debruijn_sft.cli import main
 from debruijn_sft.graph import _span_digraph
-from debruijn_sft.language import Alphabet
+from debruijn_sft.language import Alphabet, enumerate_ranks
 
 from corpus import (
-    oracle_build_graph, oracle_determinant, oracle_main_component, oracle_suffix_words,
-    oracle_tarjan, oracle_words, reduced_laplacian,
+    oracle_build_graph, oracle_determinant, oracle_main_component, oracle_span_tables,
+    oracle_suffix_words, oracle_tarjan, oracle_words, reduced_laplacian,
 )
 
 pytest.importorskip("hypothesis")
@@ -159,6 +161,26 @@ def test_span_digraph_components_are_closed_and_the_first_largest_wins(instance)
     keep = arcs.index(most)   # the first completed of the largest
     assert inside == [comp_of[v] == keep for v in range(len(succ))]
     assert (ties, best) == (arcs.count(most), most)
+
+
+@example((Language.from_text("01", ["01111"]), 4))        # a stray component
+@example((Language.from_text("01", ["01", "10"]), 2))      # two tied loops
+@example((Language.from_text("0123", ["0", "1", "2", "3"]), 1))   # no words
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_span_digraph_numbers_heads_by_rotation(instance):
+    # The heads of the words that start with a are the tails of the arcs
+    # labeled a; the oracle numbers them through a rank -> id dict.
+    lang, n = instance
+    found = _span_digraph(lang, n)
+    tables = oracle_span_tables(lang, n)
+    if found is None:
+        assert tables is None
+        return
+    ranks, first, heads, labels = found[:4]
+    assert (ranks, first, heads, labels) == tables
+    k = lang.alphabet.size
+    assert [ranks[h] for h in heads] == [c % k ** n for c in enumerate_ranks(lang, n + 1)]
 
 
 @example((Language.from_text("01", ["1001", "00"]), 6))
