@@ -6,14 +6,9 @@ tree count is the determinant of the out-degree Laplacian with the root
 row and column removed. Before the determinant is taken, twins (non-root
 vertices with the same multiset of heads) are merged, round after round,
 and each merge of a twin of out-degree d takes an exact factor d out of
-the determinant: the full binary graph of span n keeps n of its 2**n - 1
-rows. The determinant of what is left is one sparse elimination modulo
-a product of 61-bit primes large enough to pin the integer down: the
-product of the diagonal for an M-matrix such as a Laplacian, the
-Hadamard bound for any other matrix. Updates are stored unreduced, and
-each column is reduced only when it is eliminated. Everything is exact
-integer arithmetic; counts grow doubly exponentially and must never pass
-through floats.
+the determinant. What is left is one sparse elimination modulo a product
+of 61-bit primes large enough to pin the integer down. Everything is exact
+integer arithmetic; counts must never pass through floats.
 """
 
 from __future__ import annotations
@@ -67,20 +62,22 @@ def _primes() -> Iterator[int]:
 
 
 def _sparse_rows(matrix: list[list[int]] | list[dict[int, int]]) -> list[dict[int, int]]:
-    """Each row as a {column: value} dict; dict rows are taken as they
-    are, since nothing writes to them. A list row must be as long as the
-    matrix, and a dict row may only name columns inside it."""
+    """Each row as a {column: value} dict of its nonzero entries. A list
+    row must be as long as the matrix, a dict row may only name columns
+    inside it, and every entry must be an int."""
     size = len(matrix)
     rows = []
     for row in matrix:
         if isinstance(row, dict):
-            if row and not (min(row) >= 0 and max(row) < size):
+            if not all(isinstance(j, int) and 0 <= j < size for j in row):
                 raise ValueError("matrix is not square")
-            rows.append(row)
+        elif len(row) != size:
+            raise ValueError("matrix is not square")
         else:
-            if len(row) != size:
-                raise ValueError("matrix is not square")
-            rows.append({j: a for j, a in enumerate(row) if a})
+            row = dict(enumerate(row))
+        if not all(isinstance(a, int) for a in row.values()):
+            raise ValueError("matrix entries must be integers")
+        rows.append({j: a for j, a in row.items() if a})
     return rows
 
 
@@ -138,17 +135,11 @@ def integer_determinant(
     while building them; that is what `_determinant_bound` returns for
     every reduced Laplacian, and both steps are skipped.
 
-    Columns are eliminated in order; an index from each column to the
-    rows holding an entry there finds the pivot and the rows it must
-    update. Updates are stored unreduced. One pass over a column reduces
-    its entries mod M, drops those that vanish, and picks the sparsest
-    remaining row as pivot; the pivot row is reduced once, when it is
-    scaled, and only if another row holds the column. Rows stay in place:
-    the sign is the parity of the pivot order, found once at the end. A
-    pivot that shares a factor with M (a chance of about one in 2**61 per
-    prime and step) retires those primes and restarts the elimination
-    from the given rows. A list row of the wrong length, or a dict key
-    outside range(size), raises ValueError.
+    Columns are eliminated in order, with the sparsest row holding each as
+    pivot; updates are stored unreduced and reduced when their column is.
+    The sign is the parity of the pivot order. A pivot that shares a
+    factor with M retires those primes and restarts the elimination. A list row of the wrong length, a dict key
+    outside range(size), or an entry that is not an int raises ValueError.
     """
     size = len(matrix)
     if _bound is None:
@@ -275,9 +266,7 @@ def count_converging_spanning_trees(g: DeBruijnGraph, root: Word) -> int:
     built, is the bound the determinant needs. The count is the merges'
     factor times that one determinant.
     """
-    r = g.id_of(root)
-    if r is None:
-        raise ValueError(f"vertex {root} is not in the graph")
+    r = g._vertex_id(root)
     classes, factor = _twin_quotient(g.heads, g.first, r)
     column = [-1] * len(g.ranks)   # column[v]: v's row and column, -1 at the root
     for i, v in enumerate(classes.values()):

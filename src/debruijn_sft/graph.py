@@ -15,12 +15,14 @@ from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
+from math import inf
 from operator import not_, sub
 from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
 from .language import (
-    Alphabet, Language, Word, _Frozen, decode_ranks, encode_word, enumerate_ranks, is_circular_word,
+    Alphabet, Language, Word, _Frozen, _word, decode_ranks, encode_word, enumerate_ranks,
+    is_circular_word,
 )
 
 
@@ -28,6 +30,23 @@ class Arc(NamedTuple):
     tail: Word
     label: int
     head: Word
+
+
+def _arc(a: object, k: float = inf, span: int | None = None) -> Arc:
+    """`a` read as an arc: any 3-sequence (tail, label, head) of a word, a
+    letter and a word over k letters, with tuple ends; with `span`, ends of
+    that length. ValueError, naming the part at fault, for anything else.
+    Every arc given to the package is read here."""
+    if not isinstance(a, Sequence) or len(a) != 3:
+        raise ValueError(f"arc {a!r} is not a 3-sequence (tail, label, head)")
+    ends = _word(a[0], k), _word(a[2], k)
+    for w, given in zip(ends, (a[0], a[2])):
+        if w is None or span is not None and len(w) != span:
+            length = "" if span is None else f" of length {span}"
+            raise ValueError(f"arc {a}: {given} is not a word{length} over the alphabet")
+    if _word((a[1],), k) is None:
+        raise ValueError(f"arc {a}: label {a[1]} is not a letter of the alphabet")
+    return Arc(ends[0], a[1], ends[1])
 
 
 class DeBruijnGraph(_Frozen):
@@ -39,16 +58,12 @@ class DeBruijnGraph(_Frozen):
     are the ids first[v] to first[v + 1] - 1, and arc i has head id
     heads[i] and label labels[i]. These tables are the graph.
 
-    `rotation_closed` says that every rotation of an arc word (a tail
-    followed by its label) is an arc word too. `build_graph` sets it, since
-    a circular word's rotations lie in one component; `graph_from_arcs`
-    records whether it holds. False is always sound.
-
-    `vertices`, `arcs` and `out` hold the same graph as word tuples and
-    `Arc`s. Each is made from the tables when first read and kept; every
-    arc shares the one tuple of each of its ends. `max_vertex` alone is
-    decoded at once. Only the exports read the views; every algorithm
-    finds arcs on the tables, through `_arc_id` or `_id_of_arc`.
+    `rotation_closed` says that every rotation of an arc word is an arc
+    word too; False is always sound. `vertices`, `arcs` and `out` hold the
+    same graph as word tuples and `Arc`s, each made from the tables when
+    first read and kept. `max_vertex` alone is
+    decoded at once. Only the exports and `out_arcs` read the views; every
+    algorithm finds arcs on the tables, through `_arc_id` or `_id_of_arc`.
 
     A graph cannot be changed, and is equal only to itself.
     """
@@ -92,15 +107,23 @@ class DeBruijnGraph(_Frozen):
 
     def id_of(self, v: Word) -> int | None:
         """The id of vertex v, or None when v is not a vertex of the graph."""
-        letters = range(self.alphabet.size)
-        if not isinstance(v, Sequence) or len(v) != self.span or not all(a in letters for a in v):
+        v = _word(v, self.alphabet.size)
+        if v is None or len(v) != self.span:
             return None
         rank = encode_word(v, self.alphabet.size)
         i = bisect_left(self.ranks, rank)
         return i if i < len(self.ranks) and self.ranks[i] == rank else None
 
+    def _vertex_id(self, v: Word, role: str = "vertex") -> int:
+        """The id of vertex v; ValueError when v is not a vertex of the graph."""
+        i = self.id_of(v)
+        if i is None:
+            raise ValueError(f"{role} {v} is not in the graph")
+        return i
+
     def out_arcs(self, v: Word) -> tuple[Arc, ...]:
-        return self.out.get(v, ())
+        """The out-arcs of vertex v, in label order; none when v is no vertex."""
+        return self.out.get(_word(v), ())
 
     def _arc_id(self, v: int, label: int) -> int:
         """The id of the out-arc of vertex id v labeled `label`, or -1."""
@@ -108,9 +131,11 @@ class DeBruijnGraph(_Frozen):
 
     def _id_of_arc(self, arc: Arc) -> int:
         """The id of `arc`, its head checked too, or -1 when it is no arc of
-        the graph or no 3-sequence. The fields are read by position, so a
-        plain (tail, label, head) tuple names the same arc as an `Arc`."""
-        tail, label, head = arc if isinstance(arc, Sequence) and len(arc) == 3 else (None,) * 3
+        the graph, or no arc at all to `_arc`."""
+        try:
+            tail, label, head = _arc(arc)
+        except ValueError:
+            return -1
         v = self.id_of(tail)
         i = -1 if v is None else self._arc_id(v, label)
         return i if i >= 0 and self.heads[i] == self.id_of(head) else -1
@@ -126,22 +151,17 @@ def graph_from_arcs(
     """Assemble a graph directly from arcs, without the SCC restriction.
 
     Useful for hand-built instances; out-arcs of one vertex must carry
-    distinct labels so label-greedy choices are unambiguous. Tails and
-    heads must be words of length `span` and labels letters of the
-    alphabet; a head need not be the shift `tail[1:] + (label,)`.
+    distinct labels so label-greedy choices are unambiguous. Any
+    3-sequence (tail, label, head) is an arc: tails and heads must be
+    words of length `span` and labels letters of the alphabet. A head
+    need not be the shift `tail[1:] + (label,)`, so hand-built graphs can
+    break the shift rule on purpose.
     """
     if span < 1:
         raise ValueError("span must be >= 1")
     if not arcs:
         raise EmptyGraphError("no arcs")
-    letters = range(alphabet.size)
-    for a in arcs:
-        for w in (a.tail, a.head):
-            if len(w) != span or not all(x in letters for x in w):
-                raise ValueError(f"arc {a}: {w} is not a word of length {span} over the alphabet")
-        if a.label not in letters:
-            raise ValueError(f"arc {a}: label {a.label} is not a letter of the alphabet")
-    ordered = sorted(arcs)
+    ordered = sorted(_arc(a, alphabet.size, span) for a in arcs)
     for a, b in zip(ordered, ordered[1:]):
         if a.tail == b.tail and a.label == b.label:
             raise ValueError(f"vertex {a.tail} has two out-arcs with the same label")
@@ -166,17 +186,13 @@ def _span_digraph(
     None when there are no words of length n+1.
 
     Word rank c is the arc from vertex c // k to vertex c % k**n, labeled
-    c % k. Tails come ascending and, by rotation, every head is a tail too,
-    so the tails alone number the vertices, and the heads as well: the
-    heads u of the words a + u, one run of ranks, are in order the tails of
-    the arcs u + a labeled a. Returns the vertex ranks, the tables `first`,
-    `heads` and `labels` of `DeBruijnGraph`, whether each vertex lies in
-    the main component, the number of components tied at its arc count, and
-    that count. A word's n+1 rotations are a closed walk, so what a vertex
-    reaches is its component: a search from each unseen id in turn meets
-    the components in Tarjan completion order, and the main one is the
-    first with the most arcs. When the first search reaches every vertex,
-    that is the answer, and no arcs are summed.
+    c % k. By rotation every head is a tail, and the heads u of the words
+    a + u are in order the tails of the arcs u + a. Returns the vertex
+    ranks, the tables `first`, `heads` and `labels` of `DeBruijnGraph`,
+    whether each vertex lies in the main component, the number of
+    components tied at its arc count, and that count. What a vertex
+    reaches is its component, and the main one is the first met with the
+    most arcs.
     """
     ranks = enumerate_ranks(lang, n + 1)
     if not ranks:
@@ -221,11 +237,8 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     AmbiguousComponentError when two components tie for the maximal arc
     count (the construction is only well defined with a unique winner).
 
-    Works on integer word ranks throughout: the component choice runs on
-    dense vertex ids, and the kept vertices are numbered again only when
-    some are dropped. No arc joins two components, so every out-arc of a
-    kept vertex is kept. Rank order is arc order and a rank cannot repeat,
-    so the arcs need neither a sort nor a duplicate check.
+    Works on integer word ranks throughout; the kept vertices are numbered
+    again only when some are dropped.
     """
     if n < 1:
         raise ValueError("span must be >= 1")
@@ -298,15 +311,18 @@ def arc_to_word(g: DeBruijnGraph, arc: Arc) -> Word:
 
 def word_to_arc(g: DeBruijnGraph, w: Word) -> Arc:
     """Inverse of arc_to_word."""
-    if len(w) != g.span + 1:
-        raise ValueError(f"expected a word of length {g.span + 1}, got {len(w)}")
-    if g.language is not None and not is_circular_word(g.language, w):
+    word = _word(w, g.alphabet.size)
+    if word is None:
+        raise ValueError(f"word {w} uses symbols outside the alphabet")
+    if len(word) != g.span + 1:
+        raise ValueError(f"expected a word of length {g.span + 1}, got {len(word)}")
+    if g.language is not None and not is_circular_word(g.language, word):
         raise ValueError(f"word {w} is not in the language")
-    tail = w[: g.span]
+    tail = word[: g.span]
     v = g.id_of(tail)
     if v is None:
         raise ValueError(f"prefix vertex {tail} is not in the component")
-    i = g._arc_id(v, w[g.span])
+    i = g._arc_id(v, word[g.span])
     if i < 0:
         raise ValueError(f"no arc realizes word {w} inside the component")
     return Arc(g.word_of(v), g.labels[i], g.word_of(g.heads[i]))
@@ -315,10 +331,11 @@ def word_to_arc(g: DeBruijnGraph, w: Word) -> Arc:
 def walk_label_target(g: DeBruijnGraph, start: Word, w: Word) -> Word:
     """Endpoint of the walk with label w from start (the length-n suffix of
     start followed by w)."""
-    cur = g.id_of(start)
-    if cur is None:
-        raise ValueError(f"vertex {start} is not in the graph")
-    for s in w:
+    cur = g._vertex_id(start)
+    label = _word(w)
+    if label is None:
+        raise ValueError(f"label {w!r} is not a word")
+    for s in label:
         i = g._arc_id(cur, s)
         if i < 0:
             raise ValueError(f"no walk labeled {w} from {start}: stuck at {g.word_of(cur)}")
@@ -332,15 +349,16 @@ def _dot_quoted(text: str) -> str:
 
 
 def export_dot(g: DeBruijnGraph, highlight: Iterable[Arc] = ()) -> str:
-    """Graphviz DOT text; arcs in `highlight` are drawn bold."""
-    marked = set(highlight)
+    """Graphviz DOT text; arcs in `highlight` are drawn bold, and one that
+    is not an arc of g is left out."""
+    marked = {g._id_of_arc(_arc(a)) for a in highlight}
     name = {v: _dot_quoted(g.alphabet.text(v)) for v in g.vertices}
     lines = [f"digraph span{g.span} {{"]
     for v in g.vertices:
         lines.append(f"  {name[v]};")
-    for a in g.arcs:
+    for i, a in enumerate(g.arcs):
         attrs = f"label={_dot_quoted(g.alphabet.symbols[a.label])}"
-        if a in marked:
+        if i in marked:
             attrs += ", style=bold"
         lines.append(f"  {name[a.tail]} -> {name[a.head]} [{attrs}];")
     lines.append("}")

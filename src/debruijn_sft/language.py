@@ -14,9 +14,26 @@ rank.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+from itertools import repeat
+from math import inf
+
 from .errors import NotIrreducibleError
 
 Word = tuple[int, ...]
+
+
+def _word(w: object, k: float = inf) -> Word | None:
+    """`w` read as a word: any sequence of letters, ints from 0 to k - 1,
+    as a tuple; None when w is anything else. Every word, vertex and arc
+    end given to the package is read by this one check."""
+    if type(w) is not tuple:
+        if not isinstance(w, Sequence):
+            return None
+        w = tuple(w)
+    if not all(map(isinstance, w, repeat(int))) or w and not (0 <= min(w) and max(w) < k):
+        return None
+    return w
 
 
 class _Frozen:
@@ -39,6 +56,7 @@ class Alphabet(_Frozen):
     Equal, and hashed alike, when the symbols are."""
 
     def __init__(self, symbols: tuple[str, ...]) -> None:
+        symbols = tuple(symbols)
         if len(symbols) < 2:
             raise ValueError("alphabet needs at least 2 symbols")
         if len(set(symbols)) != len(symbols):
@@ -81,16 +99,23 @@ class Alphabet(_Frozen):
 
 
 class Language(_Frozen):
-    """Alphabet plus a finite set of forbidden factors (duplicates removed).
+    """Alphabet plus a finite set of forbidden factors (duplicates removed),
+    kept as a frozenset of tuples whatever collection of words is given.
 
     Equal, and hashed alike, when the alphabets and the forbidden sets are."""
 
     def __init__(self, alphabet: Alphabet, forbidden: frozenset[Word] = frozenset()) -> None:
+        if not isinstance(forbidden, Iterable):
+            raise ValueError(f"forbidden words {forbidden!r} are not a collection of words")
+        words = set()
         for f in forbidden:
-            if len(f) == 0:
-                raise ValueError("forbidden words must be nonempty")
-            if any(not (0 <= r < alphabet.size) for r in f):
+            w = _word(f, alphabet.size)
+            if w is None:
                 raise ValueError(f"forbidden word {f} uses symbols outside the alphabet")
+            if not w:
+                raise ValueError("forbidden words must be nonempty")
+            words.add(w)
+        forbidden = frozenset(words)
         vars(self).update(
             alphabet=alphabet, forbidden=forbidden,
             max_forbidden_len=max((len(f) for f in forbidden), default=0),
@@ -170,10 +195,12 @@ def is_circular_word(lang: Language, w: Word) -> bool:
     its own periodic continuation up to length len(w) + max_forbidden_len
     - 1, so every window that could straddle the seam is read exactly once.
     """
-    if len(w) == 0:
-        raise ValueError("the empty word has no periodic repetition")
-    if any(not (0 <= r < lang.alphabet.size) for r in w):
+    word = _word(w, lang.alphabet.size)
+    if word is None:
         raise ValueError(f"word {w} uses symbols outside the alphabet")
+    if not word:
+        raise ValueError("the empty word has no periodic repetition")
+    w = word
     goto = _automaton(lang)
     s = 0
     for i in range(len(w) + max(lang.max_forbidden_len - 1, 0)):
@@ -232,19 +259,11 @@ def enumerate_ranks(lang: Language, n: int) -> list[int]:
 
     A word's rank is its base-k value (k the alphabet size), so rank order
     is lexicographic order. The word's first max_forbidden_len - 1 letters
-    are fixed first, letter by letter through the forbidden-word automaton,
-    and the seam is checked by reading on through them, taken periodically,
-    from the state where the word ends. When at most 3 letters remain,
-    each prefix is read on letter by letter: so few words per prefix share
-    too little to pay for halves. Otherwise the rest of the word is two
-    halves joined at the automaton state between them, both made by
-    `_words_from`: a left half read from the prefix's state, and a right
-    half read on from where the left one ends, kept when its end state
-    reads the seam. Halves are built once per (state, length) and shared
-    by every prefix, so each rank is made O(log n) times. A prefix's ranks
-    are one ascending run per middle state, sorted together only when
-    there are several; prefixes come in rank order, so the whole output
-    ascends.
+    are fixed first, and the seam is checked by reading on through them
+    from the state where the word ends. The rest is read letter by letter
+    when at most 3 letters remain, and otherwise is two halves from
+    `_words_from`, shared by every prefix, so each rank is made O(log n)
+    times.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -307,9 +326,7 @@ def decode_ranks(ranks: list[int], k: int, length: int) -> list[Word]:
     """The words of the given length whose base-k values are `ranks`.
 
     Each rank splits into a high and a low half; each distinct half is
-    decoded once, recursively, and the word is the two halves joined. So a
-    batch of words costs one split per word plus its distinct halves, and
-    one long word costs a linear number of letters per level.
+    decoded once, recursively, and the word is the two halves joined.
     """
     if length <= 8:
         words = []

@@ -24,6 +24,8 @@ DEFAULT_MAX_ARCS = 24
 
 def _guard(g: DeBruijnGraph, max_arcs: int) -> None:
     # Counted on the id tables, so a refusal builds no `Arc`.
+    if type(max_arcs) is not int:
+        raise ValueError(f"max_arcs must be an integer, got {max_arcs!r}")
     if len(g.heads) > max_arcs:
         raise TooLargeError(
             f"{len(g.heads)} arcs exceeds the exhaustive bound of {max_arcs}"
@@ -98,11 +100,9 @@ def enumerate_eulerian_cycles(
     truncation.
     """
     _guard(g, max_arcs)
-    at = g.id_of(start)
-    if at is None:
-        raise ValueError(f"vertex {start} is not in the graph")
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    at = g._vertex_id(start)
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ValueError(f"cap must be at least 1 and an int, got {cap!r}")
     start = g.word_of(at)
     found: list[Walk] = []
     for ids in _circuits(g, at):

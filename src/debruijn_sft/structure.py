@@ -19,29 +19,17 @@ Per-vertex data, with m the maximal vertex:
   floor           overlap(u) is empty
   restricted      max_label(u) < overlap_next(u)
 
-The analysis, the obstruction search and the verifiers that read an
-analysis run on the graph's vertex and arc ids and on integer word ranks.
-Word tuples and `Arc`s are made only for what is returned or printed as
-words: the cycles, the obstructions, violation texts, one vertex's
-`classify_vertex` record and the max-arc avoid set's `arc_by_vertex`. The
-exhaustion-order check reads an `AvoidSet` as reserved arc ids too: the
-one an analysis makes holds them, and a word-keyed one is turned into
-them. An analysis is its graph; each table is made on first read and
-kept, so `check` makes the max-arc ids and cycles only. The max-arc
-subgraph is one map on ids: two tables give the head and the label of
-each vertex's max arc, -1 at the root, and the verifiers that follow max
-arcs read them. The look-ahead along max-arc walks is a power of that
-map, by repeated squaring. The max-arc cycles come from one pass that
-stamps each vertex with the walk that first reached it. The same
-cycle-finder runs the obstruction search, on a second functional graph
-with one node per vertex, its top out-arc's word, where each step reads
-one block: a rotation splits into blocks when its word lies on a cycle
-whose blocks sum to a divisor of span+1.
+Everything here runs on the graph's vertex and arc ids and on integer
+word ranks; words are made only for what is returned or printed. An
+analysis is its graph, with each table made on first read and kept. The
+max-arc cycles and the obstruction search share one cycle-finder on
+functional graphs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from functools import cached_property
 from operator import sub
 from typing import NamedTuple
@@ -260,9 +248,7 @@ def analyze_max_arcs(g: DeBruijnGraph) -> MaxArcAnalysis:
 
 
 def classify_vertex(t: MaxArcAnalysis, v: Word) -> VertexClass:
-    i = t.graph.id_of(v)
-    if i is None:
-        raise ValueError(f"vertex {v} is not in the graph")
+    i = t.graph._vertex_id(v)
     if i == len(t._arc) - 1:
         raise ValueError("the root has no classification")
     s, label = t._state[i], t.graph.labels[t._arc[i]]
@@ -432,11 +418,10 @@ def check_cycle_label_blocks(t: MaxArcAnalysis, cycle: tuple[Word, ...]) -> Veri
     going around from a restricted vertex, the overlap/max-label pairs of
     the following restricted vertices concatenate to one loop label, and
     its repetitions reproduce the vertex itself."""
-    try:
-        at = t.cycles.index(tuple(map(tuple, cycle)))
-    except (TypeError, ValueError):   # not a sequence of words, or not a cycle here
-        raise ValueError("not a cycle of this analysis") from None
-    cycle, ids = t.cycles[at], t._cycles[at]
+    ids = tuple(map(t.graph.id_of, cycle)) if isinstance(cycle, Sequence) else None
+    if ids not in t._cycles:
+        raise ValueError("not a cycle of this analysis")
+    cycle = t.cycles[t._cycles.index(ids)]
     n = t.graph.span
     m, state = t.root, t._state
     label = t._label
@@ -476,12 +461,8 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
     many vertices at or above it are exhausted and the earliest of their
     times, so each vertex is visited once. A vertex makes one check per
     exhausted vertex above it, and a violation when it is exhausted later
-    than the earliest of them, or never. Only for such a vertex is its
-    path up walked again, to name the vertices it is late for. All of it
-    runs on the graph's ids; words are decoded for violations only. The
-    avoid set an analysis makes is read through that analysis's max-arc
-    map and cycles, so they are not searched again; for any other set the
-    cycles of its reserved arcs are found here.
+    than the earliest of them, or never. An analysis's avoid set is read
+    through that analysis's max-arc map and cycles.
     """
     root, arc = _reserved_ids(g, avoid)
     never = len(g.heads) + 1   # later than any exhaustion time
@@ -568,15 +549,10 @@ def enumerate_obstructions(g: DeBruijnGraph) -> tuple[Obstruction, ...]:
     least rank on such cycles, and only obstructed classes are expanded
     into their arc words.
 
-    Nodes come in ascending rank, so b is fixed on n runs of them, whose
-    ends take one search each. On the b = 1 run (tails whose first letter
-    is below m's) the next block end starts at the word's second letter,
-    so its tail is the head of the top arc: that head is the successor
-    when its own top arc is the rotated word, and no vertex is when it has
-    the tail's rank but another top arc. Only a head that is not the shift
-    (a hand-built graph) is searched for by rank, so the head can cost a
-    search but never change the answer. The other runs and the extra
-    nodes take one rank search per node.
+    Nodes come in ascending rank, so b is fixed on n runs of them. On the
+    b = 1 run the successor is the head of the top arc, searched for by
+    rank only when it is not the shift; the other runs and the extra nodes
+    take one rank search per node.
     """
     k, n = g.alphabet.size, g.span
     ranks, first, labels = g.ranks, g.first, g.labels

@@ -2,10 +2,8 @@
 the greedy minimal walk, and exhaustion bookkeeping.
 
 The walkers and the exhaustion bookkeeping run on the graph's vertex and
-arc ids. An avoid set made from a graph's ids is read as it is; a
-word-keyed one, like a hand-made walk, is checked and turned into the
-same ids first by the graph's arc lookup. Words and `Arc`s are made only
-for what is returned as words; a walk starts at the graph's own word.
+arc ids; a hand-made walk or a word-keyed avoid set is turned into them by
+the graph's arc lookup.
 """
 
 from __future__ import annotations
@@ -13,19 +11,20 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, repeat
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotEulerianError
-from .graph import Arc, DeBruijnGraph
-from .language import Word, _Frozen, decode_ranks
+from .graph import Arc, DeBruijnGraph, _arc
+from .language import Word, _Frozen, _word, decode_ranks
 
 
 class Walk(_Frozen):
     """A walk: its start vertex and its arcs in order.
 
-    `Walk(start, steps)` takes the arcs themselves and keeps the start
-    and the steps as tuples, with the label and the end read from the
-    steps by position, so plain (tail, label, head) tuples do too.
+    `Walk(start, steps)` takes the arcs themselves: the start is read as a
+    word and each step as an arc, so any sequence of letters and any
+    3-sequence (tail, label, head) will do, and ValueError names anything
+    else. It keeps the start as a tuple and the steps as `Arc`s of tuples.
     The walkers of this module make walks from a graph's ids instead:
     such a walk holds the graph and its arc ids, and makes `steps`,
     `label` and `end` from them when each is first read. Either way each
@@ -34,10 +33,15 @@ class Walk(_Frozen):
     """
 
     def __init__(self, start: Word, steps: Sequence[Arc]) -> None:
-        start, steps = tuple(start), tuple(steps)
+        word = _word(start)
+        if word is None:
+            raise ValueError(f"walk start {start!r} is not a word")
+        if not isinstance(steps, Iterable):
+            raise ValueError(f"walk steps {steps!r} are not a sequence of arcs")
+        steps = tuple(map(_arc, steps))
         vars(self).update(
-            start=start, steps=steps, label=tuple([a[1] for a in steps]),
-            end=steps[-1][2] if steps else start, _graph=None,
+            start=word, steps=steps, label=tuple([a.label for a in steps]),
+            end=steps[-1].head if steps else word, _graph=None,
         )
 
     @classmethod
@@ -99,15 +103,14 @@ class AvoidSet(_Frozen):
     vertex words, as given. `MaxArcAnalysis.avoid_set()` makes one from a
     graph's ids instead: it holds the graph and, per vertex id, the id of
     the reserved arc, -1 at the root, and its `arc_by_vertex` is a view
-    of those ids made once, when first read. The walkers and the
-    exhaustion-order check read the ids directly, and turn a word-keyed
-    set into the same ids. Such a set also holds the analysis that made
-    it, whose max-arc cycles are its cycles; a word-keyed one holds None.
-    Either way an avoid set cannot be changed, and is equal only to
+    of those ids made once, when first read, and it holds the analysis
+    that made it. An avoid set cannot be changed, and is equal only to
     itself.
     """
 
     def __init__(self, root: Word, arc_by_vertex: Mapping[Word, Arc]) -> None:
+        if not isinstance(arc_by_vertex, Mapping):
+            raise ValueError(f"arc_by_vertex {arc_by_vertex!r} does not map vertices to arcs")
         vars(self).update(root=root, arc_by_vertex=arc_by_vertex, _graph=None, _analysis=None)
 
     @classmethod
@@ -138,11 +141,9 @@ def _reserved_ids(g: DeBruijnGraph, avoid: AvoidSet) -> tuple[int, list[int]]:
     """The id of the avoid set's root and, per vertex id, the id of its
     reserved arc, -1 at the root; ValueError when the set is not one of
     g's avoid sets. A set made from g's ids is one already."""
-    root = g.id_of(avoid.root)
     if avoid._graph is g:
-        return root, avoid._arc
-    if root is None:
-        raise ValueError(f"root {avoid.root} is not in the graph")
+        return g.id_of(avoid.root), avoid._arc
+    root = g._vertex_id(avoid.root, "root")
     reserved = avoid.arc_by_vertex
     ids = [g.id_of(v) for v in reserved]
     # Distinct keys that are vertices have distinct ids.
@@ -215,9 +216,7 @@ def eulerian_cycle(g: DeBruijnGraph, start: Word) -> Walk:
     goes into the subcycle from that arc's head, if that head has arcs
     left, and returns to the arc after it once that subcycle is read.
     """
-    at = g.id_of(start)
-    if at is None:
-        raise ValueError(f"vertex {start} is not in the graph")
+    at = g._vertex_id(start)
     check_balanced(g)
     # On a balanced graph each subcycle returns to where it started.
     heads, first = g.heads, g.first
@@ -286,10 +285,10 @@ def _arc_ids(walk: Walk, g: DeBruijnGraph) -> list[int]:
         return walk._ids
     first, heads = g.first, g.heads
     ids = []
-    cur = g.id_of(walk.start)
+    cur = g._vertex_id(walk.start, "walk start")
     for a in walk.steps:
         i = g._id_of_arc(a)
-        if cur is None or not first[cur] <= i < first[cur + 1]:
+        if not first[cur] <= i < first[cur + 1]:
             raise ValueError("walk does not chain through arcs of this graph")
         ids.append(i)
         cur = heads[i]

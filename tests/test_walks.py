@@ -220,8 +220,8 @@ def test_plain_tuple_arcs_read_like_arcs():
 
 def test_what_is_not_a_3_sequence_is_no_arc():
     # Golden mean span 4: no such value is in g, arc_to_word refuses it
-    # with its own ValueError, and a walk stepping through one is not
-    # Eulerian. None of them raises from the unpacking.
+    # with its own ValueError, and a walk cannot step through one. None of
+    # them raises from the unpacking.
     g = graph_of(("01", ("11",), 4))
     arc = g.arcs[0]
     for bad in (5, None, (1, 2), (arc.tail, arc.label), (*arc, arc.head), {0: 1, 1: 0, 2: 1}):
@@ -231,7 +231,8 @@ def test_what_is_not_a_3_sequence_is_no_arc():
     assert [list(arc.tail), arc.label, list(arc.head)] in g   # a 3-sequence of lists
     steps = list(eulerian_cycle(g, g.max_vertex).steps)
     for bad in ((*steps[0], 0), {1: steps[0].label, 2: steps[0].head}):
-        assert not Walk(steps[0].tail, [bad, *steps[1:]]).is_eulerian(g)
+        with pytest.raises(ValueError, match="is not a 3-sequence"):
+            Walk(steps[0].tail, [bad, *steps[1:]])
 
 
 def forbid_tuple_views(monkeypatch):
