@@ -68,10 +68,6 @@ def _json_text(data: dict | list) -> str:
     return json.dumps(data, indent=2)
 
 
-def _print_json(data: dict | list) -> None:
-    print(_json_text(data))
-
-
 def _cmd_words(args: argparse.Namespace) -> int:
     lang = _language(args)
     if args.count_only:
@@ -79,7 +75,7 @@ def _cmd_words(args: argparse.Namespace) -> int:
         return 0
     words = enumerate_words(lang, args.span)
     if args.json:
-        _print_json([lang.alphabet.text(w) for w in words])
+        print(_json_text([lang.alphabet.text(w) for w in words]))
     else:
         for w in words:
             print(lang.alphabet.text(w))
@@ -108,7 +104,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     start = g.alphabet.word(args.start) if args.start is not None else g.max_vertex
     walk = eulerian_cycle(g, start)
     if args.json:
-        _print_json(walk_to_json(walk, g))
+        print(_json_text(walk_to_json(walk, g)))
     else:
         print(g.alphabet.text(walk.label))
     return 0
@@ -118,7 +114,7 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
     g = _graph(args)
     walk = minimal_walk(g)
     if args.json:
-        _print_json(walk_to_json(walk, g))
+        print(_json_text(walk_to_json(walk, g)))
     else:
         print(g.alphabet.text(walk.label))
         print(f"eulerian {'true' if walk.is_eulerian(g) else 'false'}")
@@ -129,7 +125,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     g = _graph(args)
     decision = decide_minimal_is_eulerian(g)
     if args.json:
-        _print_json(analysis_to_json(decision))
+        print(_json_text(analysis_to_json(decision)))
         return 0
     t = decision.analysis
     alpha = g.alphabet
@@ -182,17 +178,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.global_minimum:
         best = global_minimal_label(g, max_arcs=args.max_arcs)
         if args.json:
-            _print_json({
+            print(_json_text({
                 "start": g.alphabet.text(best.start),
                 "label": g.alphabet.text(best.label),
-            })
+            }))
         else:
             print(f"start {g.alphabet.text(best.start)}")
             print(f"label {g.alphabet.text(best.label)}")
         return 0
     verdict = certify_minimal_walk(g, max_arcs=args.max_arcs)
     if args.json:
-        _print_json(verdict_to_json(verdict, g))
+        print(_json_text(verdict_to_json(verdict, g)))
     else:
         print(f"greedy-label {g.alphabet.text(verdict.greedy_label)}")
         print(f"greedy-eulerian {'true' if verdict.greedy_eulerian else 'false'}")

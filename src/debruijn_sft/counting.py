@@ -18,7 +18,7 @@ from math import factorial, gcd, isqrt, prod
 from operator import sub
 
 from .errors import NotEulerianError
-from .graph import DeBruijnGraph
+from .graph import DeBruijnGraph, _functional_cycles
 from .language import Word
 from .walks import check_balanced
 
@@ -106,21 +106,6 @@ def _determinant_bound(rows: list[dict[int, int]]) -> int:
     return diagonal
 
 
-def _is_odd(order: list[int]) -> bool:
-    """Whether the permutation k -> order[k] is odd: whether its size
-    less its number of cycles is."""
-    seen = bytearray(len(order))
-    cycles = 0
-    for start in range(len(order)):
-        if not seen[start]:
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = 1
-                i = order[i]
-    return (len(order) - cycles) % 2 == 1
-
-
 def integer_determinant(
     matrix: list[list[int]] | list[dict[int, int]], *, _bound: int | None = None,
 ) -> int:
@@ -137,9 +122,11 @@ def integer_determinant(
 
     Columns are eliminated in order, with the sparsest row holding each as
     pivot; updates are stored unreduced and reduced when their column is.
-    The sign is the parity of the pivot order. A pivot that shares a
-    factor with M retires those primes and restarts the elimination. A list row of the wrong length, a dict key
-    outside range(size), or an entry that is not an int raises ValueError.
+    The sign is the parity of the pivot order, a permutation, whose cycles
+    `_functional_cycles` counts. A pivot that shares a factor with M
+    retires those primes and restarts the elimination. A list row of the
+    wrong length, a dict key outside range(size), or an entry that is not
+    an int raises ValueError.
     """
     size = len(matrix)
     if _bound is None:
@@ -210,7 +197,8 @@ def integer_determinant(
                         row[j] = x - f * v
             column.clear()
         else:
-            if _is_odd(order):
+            # A permutation is odd when its size less its number of cycles is.
+            if (size - len(_functional_cycles(order))) % 2:
                 det = modulus - det
             return det - modulus if det > modulus // 2 else det
 
@@ -307,11 +295,13 @@ def count_eulerian_cycles(g: DeBruijnGraph, root: Word) -> int:
 
 def lower_bound_report(g: DeBruijnGraph) -> dict:
     """Ingredients of the crude circuit-count lower bound, next to the
-    exact values, for side-by-side reading."""
+    exact values, for side-by-side reading. The exact count comes first,
+    from `count_eulerian_cycles`, so a graph it refuses raises
+    NotEulerianError here too."""
+    cycles = count_eulerian_cycles(g, g.max_vertex)
     mean_out = len(g.heads) / len(g.ranks)
     factorial_term = out_degree_factorials(g)
-    base = factorial(max(int(mean_out) - 1, 0))
-    trees = count_converging_spanning_trees(g, g.max_vertex)
+    base = factorial(int(mean_out) - 1)
     report = {
         "vertices": len(g.ranks),
         "arcs": len(g.heads),
@@ -319,8 +309,8 @@ def lower_bound_report(g: DeBruijnGraph) -> dict:
         "factorial_term": factorial_term,
         "bound_base_factorial": base,
         "bound_value": base ** len(g.ranks),
-        "spanning_trees": trees,
-        "eulerian_cycles": trees * factorial_term,
+        "spanning_trees": cycles // factorial_term,
+        "eulerian_cycles": cycles,
     }
     if g.language is not None and not g.language.forbidden:
         # BEST closed form for the unrestricted k-ary language (van

@@ -21,8 +21,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousComponentError, EmptyGraphError
 from .language import (
-    Alphabet, Language, Word, _Frozen, _word, decode_ranks, encode_word, enumerate_ranks,
-    is_circular_word,
+    Alphabet, Language, Word, _Frozen, _length, _word, decode_ranks, encode_word,
+    enumerate_ranks, is_circular_word,
 )
 
 
@@ -144,6 +144,26 @@ class DeBruijnGraph(_Frozen):
         return self._id_of_arc(arc) >= 0
 
 
+def _functional_cycles(succ: list[int]) -> list[list[int]]:
+    """Cycles of the functional graph v -> succ[v] on ids, each in walk
+    order; a negative successor ends a path. A walk that stops on a vertex
+    it stamped itself has closed a cycle. The package's one cycle-finder."""
+    start = [-1] * len(succ)
+    cycles: list[list[int]] = []
+    for i in range(len(succ)):
+        if start[i] >= 0:
+            continue
+        path: list[int] = []
+        cur = i
+        while cur >= 0 and start[cur] < 0:
+            start[cur] = i
+            path.append(cur)
+            cur = succ[cur]
+        if cur >= 0 and start[cur] == i:
+            cycles.append(path[path.index(cur) :])
+    return cycles
+
+
 def graph_from_arcs(
     span: int, alphabet: Alphabet, arcs: list[Arc] | tuple[Arc, ...],
     language: Language | None = None,
@@ -157,8 +177,7 @@ def graph_from_arcs(
     need not be the shift `tail[1:] + (label,)`, so hand-built graphs can
     break the shift rule on purpose.
     """
-    if span < 1:
-        raise ValueError("span must be >= 1")
+    _length(span, "span")
     if not arcs:
         raise EmptyGraphError("no arcs")
     ordered = sorted(_arc(a, alphabet.size, span) for a in arcs)
@@ -240,8 +259,7 @@ def build_graph(lang: Language, n: int) -> DeBruijnGraph:
     Works on integer word ranks throughout; the kept vertices are numbered
     again only when some are dropped.
     """
-    if n < 1:
-        raise ValueError("span must be >= 1")
+    _length(n, "span")
     if n + 1 < lang.max_forbidden_len:
         warnings.warn(
             f"span {n} is shorter than the longest forbidden word minus one; "
@@ -280,8 +298,7 @@ def check_irreducible(lang: Language, n: int) -> IrreducibilityReport:
     are the out-arcs of the vertices outside the main one. Never raises;
     failures come back with the words that would be dropped.
     """
-    if n < 1:
-        raise ValueError("span must be >= 1")
+    _length(n, "span")
     found = _span_digraph(lang, n)
     if found is None:
         return IrreducibilityReport(False, f"no words of length {n + 1}", ())
@@ -395,8 +412,6 @@ def graph_from_json(data: dict) -> DeBruijnGraph:
         raise ValueError(f"graph JSON lacks the field {e.args[0]!r}") from None
     except TypeError as e:
         raise ValueError(f"malformed graph JSON: {e}") from None
-    if type(span) is not int:   # not a float, a string or a bool
-        raise ValueError(f"graph JSON span {span!r} is not an integer")
     g = graph_from_arcs(span, alphabet, arcs)
     if named is not None and [g.id_of(v) for v in named] != list(range(len(g.ranks))):
         raise ValueError("graph JSON vertices are not exactly the arcs' endpoints")

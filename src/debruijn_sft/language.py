@@ -36,6 +36,17 @@ def _word(w: object, k: float = inf) -> Word | None:
     return w
 
 
+def _length(n: object, name: str) -> int:
+    """`n` read as a length: an int >= 1, not a float or a bool;
+    ValueError naming it as `name` for anything else. Every span and word
+    length given to the package is read here."""
+    if type(n) is not int:
+        raise ValueError(f"{name} {n!r} is not an integer")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return n
+
+
 class _Frozen:
     """Refuses assignment and deletion. The one way around it is the
     instance dict: constructors fill it with `vars(self).update`, and
@@ -265,8 +276,7 @@ def enumerate_ranks(lang: Language, n: int) -> list[int]:
     `_words_from`, shared by every prefix, so each rank is made O(log n)
     times.
     """
-    if n < 1:
-        raise ValueError("word length must be >= 1")
+    _length(n, "word length")
     k = lang.alphabet.size
     goto = _automaton(lang)
     pad = max(lang.max_forbidden_len - 1, 0)
@@ -371,7 +381,7 @@ def estimate_growth_rate(lang: Language, n_max: int) -> float:
     successive ratios approach it; this is a ratio estimate only, not an
     eigenvalue computation.
     """
-    if n_max < 2:
+    if _length(n_max, "n_max") < 2:
         raise ValueError("need n_max >= 2 for a ratio")
     prev = len(enumerate_ranks(lang, n_max - 1))
     if prev == 0:

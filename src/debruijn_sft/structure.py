@@ -35,7 +35,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import TheoremViolationError
-from .graph import Arc, DeBruijnGraph
+from .graph import Arc, DeBruijnGraph, _functional_cycles
 from .language import Language, Word, _automaton, _Frozen, decode_ranks, encode_word
 from .walks import AvoidSet, _avoiding_ids, _exhaustion_times, _reserved_ids, minimal_walk
 
@@ -108,7 +108,7 @@ class MaxArcAnalysis(_Frozen):
 
     @cached_property
     def _avoid(self) -> AvoidSet:
-        return AvoidSet._of_ids(self.graph, self.root, self._arc, self)
+        return AvoidSet._of_ids(self.graph, self.root, self._arc)
 
     def avoid_set(self) -> AvoidSet:
         """The max arcs as an avoid set; the same one on every call."""
@@ -182,26 +182,6 @@ class VerificationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _functional_cycles(succ: list[int]) -> list[list[int]]:
-    """Cycles of the functional graph v -> succ[v] on ids, each in walk
-    order; a negative successor ends a path. A walk that stops on a vertex
-    it stamped itself has closed a cycle."""
-    start = [-1] * len(succ)
-    cycles: list[list[int]] = []
-    for i in range(len(succ)):
-        if start[i] >= 0:
-            continue
-        path: list[int] = []
-        cur = i
-        while cur >= 0 and start[cur] < 0:
-            start[cur] = i
-            path.append(cur)
-            cur = succ[cur]
-        if cur >= 0 and start[cur] == i:
-            cycles.append(path[path.index(cur) :])
-    return cycles
 
 
 def _overlap_states(g: DeBruijnGraph) -> list[int]:
@@ -461,21 +441,15 @@ def verify_exhaustion_order(g: DeBruijnGraph, avoid: AvoidSet) -> VerificationRe
     many vertices at or above it are exhausted and the earliest of their
     times, so each vertex is visited once. A vertex makes one check per
     exhausted vertex above it, and a violation when it is exhausted later
-    than the earliest of them, or never. An analysis's avoid set is read
-    through that analysis's max-arc map and cycles.
+    than the earliest of them, or never.
     """
     root, arc = _reserved_ids(g, avoid)
     never = len(g.heads) + 1   # later than any exhaustion time
     time = [t if t >= 0 else never for t in _exhaustion_times(g, _avoiding_ids(g, root, arc))]
-    analysis = avoid._analysis if avoid._graph is g else None
-    if analysis is None:
-        heads = g.heads
-        succ = [heads[a] if a >= 0 else -1 for a in arc]
-        cycles = _functional_cycles(succ)
-    else:   # the max arcs, whose map and cycles the analysis has
-        succ, cycles = analysis._succ, analysis._cycles
+    heads = g.heads
+    succ = [heads[a] if a >= 0 else -1 for a in arc]
     on_cycle = [False] * len(arc)
-    for cyc in cycles:
+    for cyc in _functional_cycles(succ):
         for v in cyc:
             on_cycle[v] = True
     parent = [

@@ -103,22 +103,20 @@ class AvoidSet(_Frozen):
     vertex words, as given. `MaxArcAnalysis.avoid_set()` makes one from a
     graph's ids instead: it holds the graph and, per vertex id, the id of
     the reserved arc, -1 at the root, and its `arc_by_vertex` is a view
-    of those ids made once, when first read, and it holds the analysis
-    that made it. An avoid set cannot be changed, and is equal only to
-    itself.
+    of those ids made once, when first read. An avoid set cannot be
+    changed, and is equal only to itself.
     """
 
     def __init__(self, root: Word, arc_by_vertex: Mapping[Word, Arc]) -> None:
         if not isinstance(arc_by_vertex, Mapping):
             raise ValueError(f"arc_by_vertex {arc_by_vertex!r} does not map vertices to arcs")
-        vars(self).update(root=root, arc_by_vertex=arc_by_vertex, _graph=None, _analysis=None)
+        vars(self).update(root=root, arc_by_vertex=arc_by_vertex, _graph=None)
 
     @classmethod
-    def _of_ids(cls, g: DeBruijnGraph, root: Word, arc: list[int], analysis: object) -> AvoidSet:
-        """The avoid set of g reserving arc id arc[v] at each vertex id v,
-        made by `analysis`."""
+    def _of_ids(cls, g: DeBruijnGraph, root: Word, arc: list[int]) -> AvoidSet:
+        """The avoid set of g reserving arc id arc[v] at each vertex id v."""
         avoid = object.__new__(cls)
-        vars(avoid).update(root=root, _graph=g, _arc=arc, _analysis=analysis)
+        vars(avoid).update(root=root, _graph=g, _arc=arc)
         return avoid
 
     @cached_property

@@ -543,6 +543,20 @@ def test_lower_bound_report():
     assert "full_language_tree_count" not in rep
 
 
+@pytest.mark.parametrize("arcs", [
+    [((0,), 0, (1,)), ((0,), 1, (1,)), ((1,), 0, (0,))],   # unbalanced
+    [((0,), 0, (1,))],   # (1,) is a sink
+])
+def test_lower_bound_report_refuses_what_the_count_refuses(arcs):
+    # The report reads its exact count from count_eulerian_cycles, so it
+    # raises where that does, not a count or a bare ValueError.
+    g = graph_from_arcs(1, BINARY, arcs)
+    with pytest.raises(NotEulerianError, match="in-degree"):
+        count_eulerian_cycles(g, g.max_vertex)
+    with pytest.raises(NotEulerianError, match="in-degree"):
+        lower_bound_report(g)
+
+
 def test_lower_bound_report_full_language_closed_form():
     # k^(k^n - n - 1) trees converge to a root in the full k-ary graph.
     for alphabet, spans in (("01", range(1, 7)), ("012", range(1, 4))):

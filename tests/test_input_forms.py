@@ -18,11 +18,15 @@ from debruijn_sft import (
     Walk,
     analyze_max_arcs,
     arc_to_word,
+    build_graph,
     check_cycle_label_blocks,
+    check_irreducible,
     classify_vertex,
     count_converging_spanning_trees,
     count_eulerian_cycles,
     enumerate_eulerian_cycles,
+    enumerate_words,
+    estimate_growth_rate,
     eulerian_cycle,
     exhaustion_order,
     export_dot,
@@ -160,3 +164,17 @@ def test_cap_and_max_arcs_must_be_ints():
         enumerate_eulerian_cycles(g, g.max_vertex, cap=1.5)
     with pytest.raises(ValueError, match="max_arcs must be an integer"):
         minimal_eulerian_label(g, g.max_vertex, max_arcs="40")
+
+
+@pytest.mark.parametrize("span", [2.0, 2.5, 3.0, 5.0, True, "3", None])
+def test_a_span_or_word_length_must_be_an_int(span):
+    # One rule for every length: an int, not a float or a bool, and >= 1.
+    lang = Language.from_text("01", ["11"])
+    calls = [
+        lambda: build_graph(lang, span), lambda: check_irreducible(lang, span),
+        lambda: enumerate_words(lang, span), lambda: estimate_growth_rate(lang, span),
+        lambda: graph_from_arcs(span, lang.alphabet, [Arc((0,), 0, (0,))]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
